@@ -1,25 +1,30 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/sim"
 )
 
-// Request is one disk operation. Exactly one of read or write semantics
-// applies: for writes, Data supplies Count*SectorSize bytes (nil writes
-// zeros, i.e. a sparse write that allocates no payload); for reads, the
-// completion callback receives the sector contents.
+// Request is one disk operation. Data is the caller-owned payload in both
+// directions, Count*SectorSize bytes when set. A write stores it (nil
+// writes zeros, i.e. a sparse write that allocates no payload). A read
+// fills it in place, unwritten sectors as zeros; a read with nil Data is
+// timing-only: it pays seek, rotation and transfer, counts in Stats and
+// draws its fault decisions exactly like a buffered read, but moves no
+// bytes. This is the paper's raw read interface: the server owns its
+// buffers, and the controller never allocates one.
 type Request struct {
 	LBA      int64
 	Count    int // sectors
 	Write    bool
-	Data     []byte // write payload; nil = sparse (sectors read back as zeros)
+	Data     []byte // caller-owned payload; see the type comment for nil
 	RealTime bool   // true: real-time queue; false: normal queue
 
 	// Done is invoked in interrupt context (a sim event) when the request
-	// completes. For reads, data holds the sector contents. If a fault was
-	// injected, Err is set and data is nil.
+	// completes. For a read, data is r.Data, or nil for a timing-only
+	// read. If a fault was injected, Err is set and data is nil.
 	Done func(r *Request, data []byte)
 
 	// Err carries an injected media error to the completion handler.
@@ -150,8 +155,8 @@ func (d *Disk) Submit(r *Request) {
 	if r.LBA < 0 || r.Count <= 0 || r.LBA+int64(r.Count) > d.geo.TotalSectors() {
 		panic(fmt.Sprintf("disk %s: request out of range: lba=%d count=%d", d.name, r.LBA, r.Count))
 	}
-	if r.Write && r.Data != nil && len(r.Data) != r.Count*d.geo.SectorSize {
-		panic(fmt.Sprintf("disk %s: write payload %d bytes for %d sectors", d.name, len(r.Data), r.Count))
+	if r.Data != nil && len(r.Data) != r.Count*d.geo.SectorSize {
+		panic(fmt.Sprintf("disk %s: payload %d bytes for %d sectors", d.name, len(r.Data), r.Count))
 	}
 	r.Submitted = d.eng.Now()
 	r.cyl = d.geo.CylinderOf(r.LBA)
@@ -332,8 +337,9 @@ func (d *Disk) complete(r *Request) {
 		// Failed request: no data moves.
 	case r.Write:
 		d.store(r)
-	default:
-		data = d.load(r)
+	case r.Data != nil:
+		d.load(r)
+		data = r.Data
 	}
 	d.active = nil
 	// Deliver the interrupt before selecting the next request, as a driver
@@ -370,31 +376,38 @@ func (d *Disk) store(r *Request) {
 	}
 }
 
+// zeroChunk is what allZero compares against, a chunk at a time.
+var zeroChunk [4096]byte
+
 func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroChunk))
+		if !bytes.Equal(b[:n], zeroChunk[:n]) {
 			return false
 		}
+		b = b[n:]
 	}
 	return true
 }
 
-func (d *Disk) load(r *Request) []byte {
+// load fills a read's caller-owned buffer in place.
+func (d *Disk) load(r *Request) {
 	ss := d.geo.SectorSize
-	out := make([]byte, r.Count*ss)
 	for i := 0; i < r.Count; i++ {
+		dst := r.Data[i*ss : (i+1)*ss]
 		if sec, ok := d.sectors[r.LBA+int64(i)]; ok {
-			copy(out[i*ss:], sec)
+			copy(dst, sec)
+		} else {
+			clear(dst)
 		}
 	}
-	return out
 }
 
 // PeekSector returns a copy of a sector's contents without disk timing —
 // the equivalent of inspecting the image offline. Intended for tools and
 // tests.
 func (d *Disk) PeekSector(lba int64) []byte {
-	//crasvet:allow hotalloc -- offline helper, hot-reachable only through the parity write model; mirrors the baselined load allocation
+	//crasvet:allow hotalloc -- offline helper, hot-reachable only through the parity write model; the caller owns the returned copy
 	out := make([]byte, d.geo.SectorSize)
 	if sec, ok := d.sectors[lba]; ok {
 		copy(out, sec)

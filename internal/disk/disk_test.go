@@ -110,6 +110,18 @@ func TestUnwrittenSectorsReadZero(t *testing.T) {
 			t.Fatal("unwritten sector returned non-zero data")
 		}
 	}
+
+	// A reused caller buffer full of garbage: the written sector is copied
+	// in, the unwritten ones around it are zeroed.
+	written := bytes.Repeat([]byte{0x3C}, 512)
+	d.PokeSector(5001, written)
+	buf := bytes.Repeat([]byte{0xFF}, 3*512)
+	d.Submit(&Request{LBA: 5000, Count: 3, Data: buf})
+	e.Run()
+	want := append(append(make([]byte, 512), written...), make([]byte, 512)...)
+	if !bytes.Equal(buf, want) {
+		t.Fatal("read into a garbage buffer did not overwrite it with the sector contents")
+	}
 }
 
 func TestSparseWriteClearsPayload(t *testing.T) {
@@ -313,12 +325,16 @@ func TestSubmitOutOfRangePanics(t *testing.T) {
 
 func TestWritePayloadSizeMismatchPanics(t *testing.T) {
 	_, d := testDisk(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched write payload did not panic")
-		}
-	}()
-	d.Submit(&Request{LBA: 0, Count: 2, Write: true, Data: make([]byte, 512)})
+	for _, write := range []bool{true, false} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("mismatched payload (write=%v) did not panic", write)
+				}
+			}()
+			d.Submit(&Request{LBA: 0, Count: 2, Write: write, Data: make([]byte, 512)})
+		}()
+	}
 }
 
 func TestPeekPokeSector(t *testing.T) {

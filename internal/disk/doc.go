@@ -25,7 +25,12 @@
 // Sector payloads are stored sparsely: written sectors keep their bytes,
 // unwritten sectors read as zeros. Media files can therefore be laid out
 // (allocating all metadata for real) without storing gigabytes of pixel
-// data.
+// data. The payload a request moves is owned by its submitter, as with the
+// paper's raw read interface: a read fills the caller's Request.Data in
+// place, and a read with no buffer is timing-only — it costs the mechanism
+// exactly what a buffered read would, and moves no bytes. The server's
+// stream and rebuild reads are timing-only; the file system supplies its
+// own buffers.
 //
 // The seek curve is deliberately non-linear (a square-root region for short
 // seeks, linear beyond), after Ruemmler & Wilkes, so that the linear

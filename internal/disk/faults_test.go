@@ -21,27 +21,41 @@ func faultBed(seed int64, cfg FaultConfig) (*sim.Engine, *Disk, *FaultModel) {
 
 // outcome records one request's completion for comparison across runs.
 type outcome struct {
-	lba  int64
-	err  string
-	done sim.Time
+	lba     int64
+	err     string
+	started sim.Time
+	done    sim.Time
 }
 
-func runFaultSequence(seed int64, cfg FaultConfig, requests int) ([]outcome, FaultStats) {
+// runFaultSequence submits a fixed read sequence under a fault model. With
+// buffered set every read carries a caller buffer; otherwise every read is
+// timing-only. Done must see the caller's buffer (nil on failure) or nil.
+func runFaultSequence(t *testing.T, seed int64, cfg FaultConfig, requests int, buffered bool) ([]outcome, FaultStats, Stats) {
 	e, d, m := faultBed(seed, cfg)
 	var got []outcome
 	for i := 0; i < requests; i++ {
 		r := &Request{LBA: int64(i * 1000), Count: 64, RealTime: true}
-		r.Done = func(r *Request, _ []byte) {
+		if buffered {
+			r.Data = make([]byte, r.Count*d.Geometry().SectorSize)
+		}
+		r.Done = func(r *Request, data []byte) {
 			errs := ""
 			if r.Err != nil {
 				errs = r.Err.Error()
 			}
-			got = append(got, outcome{lba: r.LBA, err: errs, done: r.Completed})
+			if want := r.Data; r.Err != nil || want == nil {
+				if data != nil {
+					t.Errorf("lba %d: Done got %d bytes, want nil (err %v, buffered %v)", r.LBA, len(data), r.Err, buffered)
+				}
+			} else if len(data) != len(want) || &data[0] != &want[0] {
+				t.Errorf("lba %d: Done did not get the caller's buffer", r.LBA)
+			}
+			got = append(got, outcome{lba: r.LBA, err: errs, started: r.Started, done: r.Completed})
 		}
 		d.Submit(r)
 	}
 	e.RunUntil(time.Minute)
-	return got, m.Stats()
+	return got, m.Stats(), d.Stats()
 }
 
 func TestFaultModelDeterministicReplay(t *testing.T) {
@@ -50,10 +64,10 @@ func TestFaultModelDeterministicReplay(t *testing.T) {
 		LatencyProb:   0.4, LatencyMin: time.Millisecond, LatencyMax: 20 * time.Millisecond,
 		BadRegions: []BadRegion{{LBA: 5000, Sectors: 500}},
 	}
-	a, sa := runFaultSequence(42, cfg, 40)
-	b, sb := runFaultSequence(42, cfg, 40)
-	if sa != sb {
-		t.Fatalf("fault stats diverged across identical runs: %+v vs %+v", sa, sb)
+	a, sa, da := runFaultSequence(t, 42, cfg, 40, false)
+	b, sb, db := runFaultSequence(t, 42, cfg, 40, false)
+	if sa != sb || da != db {
+		t.Fatalf("stats diverged across identical runs: %+v vs %+v, %+v vs %+v", sa, sb, da, db)
 	}
 	if len(a) != len(b) {
 		t.Fatalf("completion counts diverged: %d vs %d", len(a), len(b))
@@ -63,9 +77,20 @@ func TestFaultModelDeterministicReplay(t *testing.T) {
 			t.Fatalf("outcome %d diverged: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+	// A timing-only read costs exactly what a buffered read of the same
+	// range costs, and draws the same faults.
+	bu, sbu, dbu := runFaultSequence(t, 42, cfg, 40, true)
+	if sbu != sa || dbu != da {
+		t.Fatalf("buffered reads diverged from timing-only reads:\nfaults %+v vs %+v\ndisk %+v vs %+v", sbu, sa, dbu, da)
+	}
+	for i := range a {
+		if bu[i] != a[i] {
+			t.Fatalf("outcome %d: buffered %+v, timing-only %+v", i, bu[i], a[i])
+		}
+	}
 	// A different seed must draw a different fault pattern (with these
 	// probabilities 40 requests almost surely differ somewhere).
-	c, sc := runFaultSequence(43, cfg, 40)
+	c, sc, _ := runFaultSequence(t, 43, cfg, 40, false)
 	same := sa == sc && len(a) == len(c)
 	if same {
 		for i := range a {

@@ -231,7 +231,7 @@ func (v *Volume) ReconstructFrags(m int, r0, r1 int64) []Frag {
 // without disk timing.
 func (v *Volume) peekRun(d int, lba int64, count int) []byte {
 	ss := v.geo.SectorSize
-	//crasvet:allow hotalloc -- offline/parity-write arithmetic buffer; mirrors the baselined Disk.load allocation
+	//crasvet:allow hotalloc -- offline/parity-write arithmetic buffer; one unit per call, owned by the caller
 	out := make([]byte, count*ss)
 	for i := 0; i < count; i++ {
 		copy(out[i*ss:], v.disks[d].PeekSector(lba+int64(i)))
@@ -251,7 +251,7 @@ func xorInto(dst, src []byte) {
 // arithmetic core of degraded reads and rebuild; the timed paths read the
 // same bytes through the members' controllers first.
 func (v *Volume) reconstructUnitOffline(row int64, m int) []byte {
-	//crasvet:allow hotalloc -- XOR accumulator for degraded/rebuild arithmetic; mirrors the baselined Disk.load allocation
+	//crasvet:allow hotalloc -- XOR accumulator for offline rebuild and the parity write model; one unit per call
 	out := make([]byte, int(v.stripe)*v.geo.SectorSize)
 	for d := range v.disks {
 		if d == m {
@@ -300,13 +300,14 @@ func (v *Volume) VerifyParity() int64 {
 }
 
 // submitParityRead scatters a logical read over the survivors and gathers
-// the completions, XOR-reconstructing any units held by a dead member. The
-// caller's Done fires once, after the last fragment, exactly as for RAID-0.
+// the completions into the caller's Data, XOR-reconstructing any units held
+// by a dead member. A read with nil Data is timing-only on every survivor.
+// The caller's Done fires once, after the last fragment, exactly as for
+// RAID-0.
 func (v *Volume) submitParityRead(r *Request) {
 	frags, _ := v.ReadFragments(r.LBA, r.Count)
 	r.Submitted = v.disks[0].eng.Now()
 	ss := v.geo.SectorSize
-	assembled := make([]byte, r.Count*ss)
 	memberFrag := make([]Frag, len(v.disks))
 	memberBuf := make([][]byte, len(v.disks))
 	remaining := len(frags)
@@ -315,7 +316,7 @@ func (v *Volume) submitParityRead(r *Request) {
 		memberFrag[f.Disk] = f
 		child := &Request{
 			LBA: f.LBA, Count: f.Count, RealTime: r.RealTime,
-			Done: func(cr *Request, data []byte) {
+			Done: func(cr *Request, _ []byte) {
 				if cr.Err != nil && r.Err == nil {
 					r.Err = cr.Err
 				}
@@ -325,40 +326,44 @@ func (v *Volume) submitParityRead(r *Request) {
 				if cr.Completed > r.Completed {
 					r.Completed = cr.Completed
 				}
-				memberBuf[f.Disk] = data
 				remaining--
 				if remaining > 0 {
 					return
 				}
-				if r.Err == nil {
-					v.gatherParity(r, memberFrag, memberBuf, assembled)
+				if r.Err == nil && r.Data != nil {
+					v.gatherParity(r, memberFrag, memberBuf)
 				}
 				if r.Done != nil {
 					var out []byte
 					if r.Err == nil {
-						out = assembled
+						out = r.Data
 					}
 					r.Done(r, out)
 				}
 			},
 		}
+		if r.Data != nil {
+			child.Data = make([]byte, f.Count*ss)
+			memberBuf[f.Disk] = child.Data
+		}
 		v.disks[f.Disk].Submit(child)
 	}
 }
 
-// gatherParity de-interleaves the member reads into the logical buffer,
+// gatherParity de-interleaves the member reads into the caller's buffer,
 // XORing the survivors' row units together wherever the unit's home member
 // is dead.
-func (v *Volume) gatherParity(r *Request, memberFrag []Frag, memberBuf [][]byte, assembled []byte) {
+func (v *Volume) gatherParity(r *Request, memberFrag []Frag, memberBuf [][]byte) {
 	ss := int64(v.geo.SectorSize)
 	v.forEachUnit(r.LBA, r.Count, func(d int, dlba int64, sectors int, off int64) {
-		dst := assembled[off*ss : (off+int64(sectors))*ss]
+		dst := r.Data[off*ss : (off+int64(sectors))*ss]
 		if !v.dead[d] {
 			src := memberBuf[d]
 			lo := (dlba - memberFrag[d].LBA) * ss
 			copy(dst, src[lo:lo+int64(sectors)*ss])
 			return
 		}
+		clear(dst) // the caller's buffer may hold anything
 		for m := range v.disks {
 			if m == d || v.dead[m] {
 				continue

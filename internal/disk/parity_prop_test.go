@@ -298,9 +298,15 @@ func TestParityTimedIO(t *testing.T) {
 				}
 			}
 			check(healthy[len(healthy)-1], "healthy")
+			last := healthy[len(healthy)-1]
+			checkCallerRead(t, p, v, last.lba, last.count, fmt.Sprintf("cfg %d healthy", cfg))
 
 			v.SetDead(m, true)
 			check(healthy[len(healthy)-1], "degraded")
+			// The dead member's sectors still hold the truth offline, so
+			// PeekSector checks the XOR reconstruction.
+			checkCallerRead(t, p, v, last.lba, last.count, fmt.Sprintf("cfg %d degraded", cfg))
+			checkCallerRead(t, p, v, 0, int(min64(total, 4*v.StripeSectors())), fmt.Sprintf("cfg %d degraded", cfg))
 			for _, o := range degraded {
 				v.WriteSync(p, o.lba, o.count, o.data, false)
 			}

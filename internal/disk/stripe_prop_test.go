@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -203,8 +204,42 @@ func TestStripeTimedIO(t *testing.T) {
 					t.Errorf("cfg %d: timed read-back mismatch at lba %d count %d", cfg, o.lba, o.count)
 				}
 			}
+			for i := 0; i < 4; i++ {
+				count := 1 + int(rng.Int63n(min64(total, 4*v.StripeSectors()+3)))
+				checkCallerRead(t, p, v, rng.Int63n(total-int64(count)+1), count, fmt.Sprintf("cfg %d", cfg))
+			}
 		})
 		e.RunUntil(sim.Time(10 * time.Minute))
+	}
+}
+
+// checkCallerRead reads a logical range through Volume.Submit into a
+// caller buffer full of garbage and checks that Done hands back that same
+// buffer holding exactly the bytes PeekSector reports, sector by sector.
+func checkCallerRead(t *testing.T, p *sim.Proc, v *Volume, lba int64, count int, what string) {
+	t.Helper()
+	ss := v.Geometry().SectorSize
+	buf := bytes.Repeat([]byte{0xA5}, count*ss)
+	var got []byte
+	done := false
+	v.Submit(&Request{LBA: lba, Count: count, Data: buf, Done: func(r *Request, data []byte) {
+		if r.Err != nil {
+			t.Errorf("%s: caller-buffer read at lba %d failed: %v", what, lba, r.Err)
+		}
+		got, done = data, true
+		p.Unblock()
+	}})
+	for !done {
+		p.Block("test:read")
+	}
+	if len(got) != len(buf) || &got[0] != &buf[0] {
+		t.Fatalf("%s: Done did not get the caller's buffer", what)
+	}
+	for i := 0; i < count; i++ {
+		if !bytes.Equal(buf[i*ss:(i+1)*ss], v.PeekSector(lba+int64(i))) {
+			t.Errorf("%s: caller-buffer read at lba %d count %d: sector %d differs from PeekSector", what, lba, count, i)
+			return
+		}
 	}
 }
 

@@ -2,21 +2,20 @@ package disk
 
 import "repro/internal/sim"
 
-// ReadSync submits a read and blocks the calling process until it
-// completes, returning the sector contents. The realTime flag selects the
-// driver queue. The synchronous helpers do not participate in fault
-// injection; an injected error here panics, so tests targeting the FS path
-// fail loudly rather than corrupting silently.
+// ReadSync submits a read into a fresh buffer and blocks the calling
+// process until it completes, returning the sector contents. The realTime
+// flag selects the driver queue. The synchronous helpers do not
+// participate in fault injection; an injected error here panics, so tests
+// targeting the FS path fail loudly rather than corrupting silently.
 func (d *Disk) ReadSync(p *sim.Proc, lba int64, count int, realTime bool) []byte {
-	var out []byte
+	buf := make([]byte, count*d.geo.SectorSize)
 	done := false
 	d.Submit(&Request{
-		LBA: lba, Count: count, RealTime: realTime,
-		Done: func(r *Request, data []byte) {
+		LBA: lba, Count: count, Data: buf, RealTime: realTime,
+		Done: func(r *Request, _ []byte) {
 			if r.Err != nil {
 				panic("disk: unhandled injected fault on synchronous read")
 			}
-			out = data
 			done = true
 			p.Unblock()
 		},
@@ -24,7 +23,7 @@ func (d *Disk) ReadSync(p *sim.Proc, lba int64, count int, realTime bool) []byte
 	for !done {
 		p.Block("disk:read")
 	}
-	return out
+	return buf
 }
 
 // WriteSync submits a write and blocks the calling process until it

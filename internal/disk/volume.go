@@ -203,9 +203,11 @@ func (v *Volume) Fragments(lba int64, count int) []Frag {
 
 // Submit enqueues a logical request, scattering it across the members and
 // gathering the completions: the caller's Done fires once, after the last
-// fragment completes, with the de-interleaved data (reads) and the
-// worst-case member completion time. Err carries the first fragment
-// failure. A single-member volume passes the request through untouched.
+// fragment completes, with the worst-case member completion time. A read
+// de-interleaves the members' data straight into the caller's Data; a read
+// with nil Data is timing-only on every member. Err carries the first
+// fragment failure. A single-member volume passes the request through
+// untouched.
 func (v *Volume) Submit(r *Request) {
 	if len(v.disks) == 1 {
 		v.disks[0].Submit(r)
@@ -215,8 +217,8 @@ func (v *Volume) Submit(r *Request) {
 		panic(fmt.Sprintf("disk: volume %s: request out of range: lba=%d count=%d", v.name, r.LBA, r.Count))
 	}
 	ss := v.geo.SectorSize
-	if r.Write && r.Data != nil && len(r.Data) != r.Count*ss {
-		panic(fmt.Sprintf("disk: volume %s: write payload %d bytes for %d sectors", v.name, len(r.Data), r.Count))
+	if r.Data != nil && len(r.Data) != r.Count*ss {
+		panic(fmt.Sprintf("disk: volume %s: payload %d bytes for %d sectors", v.name, len(r.Data), r.Count))
 	}
 	if v.parity {
 		if r.Write {
@@ -228,16 +230,25 @@ func (v *Volume) Submit(r *Request) {
 	}
 	frags := v.Fragments(r.LBA, r.Count)
 	r.Submitted = v.disks[0].eng.Now()
-	var assembled []byte
-	if !r.Write {
-		assembled = make([]byte, r.Count*ss)
+	// A buffered read lands in one member-ordered staging buffer: RAID-0
+	// fragments partition the range, so they split it exactly.
+	var staging []byte
+	if !r.Write && r.Data != nil {
+		staging = make([]byte, r.Count*ss)
 	}
 	remaining := len(frags)
 	for i := range frags {
 		f := frags[i]
+		var payload []byte
+		if r.Write {
+			payload = v.scatterPayload(r, f)
+		} else if staging != nil {
+			payload = staging[: f.Count*ss : f.Count*ss]
+			staging = staging[f.Count*ss:]
+		}
 		child := &Request{
 			LBA: f.LBA, Count: f.Count, Write: r.Write,
-			Data:     v.scatterPayload(r, f),
+			Data:     payload,
 			RealTime: r.RealTime,
 			Done: func(cr *Request, data []byte) {
 				if cr.Err != nil && r.Err == nil {
@@ -250,7 +261,7 @@ func (v *Volume) Submit(r *Request) {
 					r.Completed = cr.Completed
 				}
 				if data != nil {
-					v.gather(r, f, data, assembled)
+					v.gather(r, f, data)
 				}
 				remaining--
 				if remaining > 0 {
@@ -259,7 +270,7 @@ func (v *Volume) Submit(r *Request) {
 				if r.Done != nil {
 					var out []byte
 					if r.Err == nil && !r.Write {
-						out = assembled
+						out = r.Data
 					}
 					r.Done(r, out)
 				}
@@ -290,34 +301,33 @@ func (v *Volume) scatterPayload(r *Request, f Frag) []byte {
 	return out
 }
 
-// gather de-interleaves one fragment's read data into the logical buffer.
-func (v *Volume) gather(r *Request, f Frag, data, assembled []byte) {
+// gather de-interleaves one fragment's read data into the caller's buffer.
+func (v *Volume) gather(r *Request, f Frag, data []byte) {
 	ss := v.geo.SectorSize
 	v.forEachUnit(r.LBA, r.Count, func(d int, dlba int64, sectors int, off int64) {
 		if d != f.Disk {
 			return
 		}
-		copy(assembled[off*int64(ss):], data[(dlba-f.LBA)*int64(ss):(dlba-f.LBA+int64(sectors))*int64(ss)])
+		copy(r.Data[off*int64(ss):], data[(dlba-f.LBA)*int64(ss):(dlba-f.LBA+int64(sectors))*int64(ss)])
 	})
 }
 
-// ReadSync submits a logical read and blocks the calling process until it
-// completes. Mirrors Disk.ReadSync, including the loud failure on injected
-// faults — the synchronous path is file-system traffic that must not
-// corrupt silently.
+// ReadSync submits a logical read into a fresh buffer and blocks the
+// calling process until it completes. Mirrors Disk.ReadSync, including the
+// loud failure on injected faults — the synchronous path is file-system
+// traffic that must not corrupt silently.
 func (v *Volume) ReadSync(p *sim.Proc, lba int64, count int, realTime bool) []byte {
 	if len(v.disks) == 1 {
 		return v.disks[0].ReadSync(p, lba, count, realTime)
 	}
-	var out []byte
+	buf := make([]byte, count*v.geo.SectorSize)
 	done := false
 	v.Submit(&Request{
-		LBA: lba, Count: count, RealTime: realTime,
-		Done: func(r *Request, data []byte) {
+		LBA: lba, Count: count, Data: buf, RealTime: realTime,
+		Done: func(r *Request, _ []byte) {
 			if r.Err != nil {
 				panic("disk: unhandled injected fault on synchronous volume read")
 			}
-			out = data
 			done = true
 			p.Unblock()
 		},
@@ -325,7 +335,7 @@ func (v *Volume) ReadSync(p *sim.Proc, lba int64, count int, realTime bool) []by
 	for !done {
 		p.Block("disk:read")
 	}
-	return out
+	return buf
 }
 
 // WriteSync submits a logical write and blocks the calling process until

@@ -15,18 +15,24 @@ type cacheEntry struct {
 	dirty   bool
 	pending bool // a read is in flight filling this entry
 	waiters *sim.Waiter
-	lruSeq  uint64
+
+	prev, next *cacheEntry // LRU links; nil while the entry is not resident
 }
 
 // Cache is a write-back LRU buffer cache over file-system blocks. All
 // blocking methods take the calling process; the cache itself performs the
 // disk I/O (on the normal, non-real-time queue — CRAS never reads through
 // it).
+//
+// Every resident entry sits on an intrusive doubly-linked list in recency
+// order: a touch moves the entry to the back, so eviction walks from the
+// front and takes the first entry it may drop. Entries leave the list when
+// they leave the map, and only then.
 type Cache struct {
 	dsk      BlockDevice
 	capacity int
 	entries  map[int64]*cacheEntry
-	seq      uint64
+	lru      cacheEntry // sentinel: lru.next is least, lru.prev most recent
 
 	// Stats.
 	Hits       int64
@@ -40,22 +46,78 @@ func NewCache(dsk BlockDevice, capacity int) *Cache {
 	if capacity < 4 {
 		capacity = 4
 	}
-	return &Cache{dsk: dsk, capacity: capacity, entries: make(map[int64]*cacheEntry)}
+	c := &Cache{dsk: dsk, capacity: capacity, entries: make(map[int64]*cacheEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
+// pushBack links e as the most recently used entry.
+func (c *Cache) pushBack(e *cacheEntry) {
+	e.prev, e.next = c.lru.prev, &c.lru
+	e.prev.next = e
+	c.lru.prev = e
+}
+
+// unlink takes e off the LRU list; an entry already off it is left alone.
+func (c *Cache) unlink(e *cacheEntry) {
+	if e.next == nil {
+		return
+	}
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
+}
+
+// insert makes e resident as the most recently used entry, replacing any
+// entry its block already has.
+func (c *Cache) insert(e *cacheEntry) {
+	if old, ok := c.entries[e.blk]; ok {
+		c.unlink(old)
+	}
+	c.entries[e.blk] = e
+	c.pushBack(e)
+}
+
+// remove drops e from the cache if it is still the resident entry for its
+// block: it may have been invalidated, and its block cached afresh, while
+// its owner was blocked.
+func (c *Cache) remove(e *cacheEntry) {
+	if c.entries[e.blk] == e {
+		delete(c.entries, e.blk)
+	}
+	c.unlink(e)
+}
+
+// touch marks a resident entry most recently used. An entry that was
+// dropped while a caller waited on it stays dropped.
 func (c *Cache) touch(e *cacheEntry) {
-	c.seq++
-	e.lruSeq = c.seq
+	if e.next == nil {
+		return
+	}
+	c.unlink(e)
+	c.pushBack(e)
+}
+
+// lookup returns blk's filled entry, waiting out a read in flight, or nil
+// when the block is not cached. A prefetch that fails drops its entries,
+// so a caller that waited on one looks again.
+func (c *Cache) lookup(p *sim.Proc, blk int64) *cacheEntry {
+	for e, ok := c.entries[blk]; ok; e, ok = c.entries[blk] {
+		for e.pending {
+			e.waiters.Wait(p)
+		}
+		if e.data != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 // Get returns the contents of a block, reading it from disk on a miss. The
 // returned slice aliases the cache entry: callers that modify it must call
 // MarkDirty with the same block number before the next blocking operation.
 func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
-	if e, ok := c.entries[blk]; ok {
-		for e.pending {
-			e.waiters.Wait(p)
-		}
+	if e := c.lookup(p, blk); e != nil {
 		c.Hits++
 		c.touch(e)
 		return e.data
@@ -63,8 +125,7 @@ func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 	c.Misses++
 	c.evictFor(p, 1)
 	e := &cacheEntry{blk: blk, pending: true, waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk))}
-	c.entries[blk] = e
-	c.touch(e)
+	c.insert(e)
 	data := c.dsk.ReadSync(p, blk*SectorsPerBlock, SectorsPerBlock, false)
 	e.data = data
 	e.pending = false
@@ -75,20 +136,14 @@ func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 // GetZero returns a cache entry for a block that is about to be fully
 // overwritten, without reading it from disk.
 func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
-	if e, ok := c.entries[blk]; ok {
-		for e.pending {
-			e.waiters.Wait(p)
-		}
+	if e := c.lookup(p, blk); e != nil {
 		c.touch(e)
-		for i := range e.data {
-			e.data[i] = 0
-		}
+		clear(e.data)
 		return e.data
 	}
 	c.evictFor(p, 1)
 	e := &cacheEntry{blk: blk, data: make([]byte, BlockSize), waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk))}
-	c.entries[blk] = e
-	c.touch(e)
+	c.insert(e)
 	return e.data
 }
 
@@ -135,9 +190,11 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 	// Room check: prefetch must not evict synchronously (no proc context);
 	// drop clean LRU entries only, and shrink the run if the cache is tight.
 	for len(c.entries)+count > c.capacity {
-		if !c.evictCleanLRU() {
+		victim := c.lruVictim(true)
+		if victim == nil {
 			break
 		}
+		c.remove(victim)
 	}
 	if len(c.entries)+count > c.capacity {
 		count = c.capacity - len(c.entries)
@@ -148,17 +205,25 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 	entries := make([]*cacheEntry, count)
 	for i := 0; i < count; i++ {
 		e := &cacheEntry{blk: blk + int64(i), pending: true, waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk+int64(i)))}
-		c.entries[e.blk] = e
-		c.touch(e)
+		c.insert(e)
 		entries[i] = e
 	}
 	c.Prefetches += int64(count)
+	// One buffer for the run; each entry keeps its own capped slice of it.
+	buf := make([]byte, count*BlockSize)
 	c.dsk.Submit(&disk.Request{
 		LBA:   blk * SectorsPerBlock,
 		Count: count * SectorsPerBlock,
-		Done: func(r *disk.Request, data []byte) {
+		Data:  buf,
+		Done: func(r *disk.Request, _ []byte) {
 			for i, e := range entries {
-				e.data = append([]byte(nil), data[i*BlockSize:(i+1)*BlockSize]...)
+				if r.Err != nil {
+					// Nothing was read: forget the blocks so a waiter
+					// fetches them itself.
+					c.remove(e)
+				} else {
+					e.data = buf[i*BlockSize : (i+1)*BlockSize : (i+1)*BlockSize]
+				}
 				e.pending = false
 				e.waiters.WakeAll()
 			}
@@ -166,37 +231,21 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 	})
 }
 
-// evictCleanLRU drops the least-recently-used clean, non-pending entry,
-// reporting whether one was found.
-func (c *Cache) evictCleanLRU() bool {
-	var victim *cacheEntry
-	for _, e := range c.entries {
-		if e.pending || e.dirty {
-			continue
-		}
-		if victim == nil || e.lruSeq < victim.lruSeq {
-			victim = e
+// lruVictim returns the least recently used entry that is not pending and,
+// with cleanOnly, not dirty; nil if there is none.
+func (c *Cache) lruVictim(cleanOnly bool) *cacheEntry {
+	for e := c.lru.next; e != &c.lru; e = e.next {
+		if !e.pending && !(cleanOnly && e.dirty) {
+			return e
 		}
 	}
-	if victim == nil {
-		return false
-	}
-	delete(c.entries, victim.blk)
-	return true
+	return nil
 }
 
 // evictFor makes room for n new entries, writing back dirty victims.
 func (c *Cache) evictFor(p *sim.Proc, n int) {
 	for len(c.entries)+n > c.capacity {
-		var victim *cacheEntry
-		for _, e := range c.entries {
-			if e.pending {
-				continue
-			}
-			if victim == nil || e.lruSeq < victim.lruSeq {
-				victim = e
-			}
-		}
+		victim := c.lruVictim(false)
 		if victim == nil {
 			return // everything pending; allow temporary overshoot
 		}
@@ -204,7 +253,7 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 			c.Writebacks++
 			c.dsk.WriteSync(p, victim.blk*SectorsPerBlock, SectorsPerBlock, victim.data, false)
 		}
-		delete(c.entries, victim.blk)
+		c.remove(victim)
 	}
 }
 
@@ -231,4 +280,8 @@ func (c *Cache) Len() int { return len(c.entries) }
 
 // Invalidate drops a block from the cache, discarding dirty data. Used when
 // freeing blocks.
-func (c *Cache) Invalidate(blk int64) { delete(c.entries, blk) }
+func (c *Cache) Invalidate(blk int64) {
+	if e, ok := c.entries[blk]; ok {
+		c.remove(e)
+	}
+}
