@@ -12,9 +12,9 @@ import (
 // taking a *sim.Proc or *rtm.Thread) run interleaved with the engine: at
 // most one runs at a time, and control moves only at explicit yield points.
 // A goroutine spawn, channel operation or sync primitive inside one either
-// deadlocks the park/resume handshake or races the virtual clock against the
-// host scheduler — the Go analogue of breaking the paper's five-thread
-// priority discipline. An unbounded loop without a yield or exit freezes
+// blocks the engine, which runs them inline, or races the virtual clock
+// against the host scheduler — the Go analogue of breaking the paper's
+// five-thread priority discipline. An unbounded loop without a yield or exit freezes
 // virtual time entirely.
 var EventLoop = &Analyzer{
 	Name: "eventloop",
@@ -141,11 +141,11 @@ func (v *eventLoopVisitor) check(body *ast.BlockStmt, what string, isProc bool) 
 				"goroutine spawn inside %s: the engine interleaves work deterministically; use Engine.Spawn or schedule an event instead", what)
 		case *ast.SendStmt:
 			v.reportf(n.Pos(),
-				"channel send inside %s would block the engine's park/resume handshake; communicate through sim.Queue or scheduled events", what)
+				"channel send inside %s would block the engine, which runs callbacks and processes inline; communicate through sim.Queue or scheduled events", what)
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				v.reportf(n.Pos(),
-					"channel receive inside %s would block the engine's park/resume handshake; communicate through sim.Queue or scheduled events", what)
+					"channel receive inside %s would block the engine, which runs callbacks and processes inline; communicate through sim.Queue or scheduled events", what)
 			}
 		case *ast.SelectStmt:
 			v.reportf(n.Pos(),
@@ -154,7 +154,7 @@ func (v *eventLoopVisitor) check(body *ast.BlockStmt, what string, isProc bool) 
 			if tv, ok := info.Types[n.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 					v.reportf(n.Pos(),
-						"range over channel inside %s would block the engine's park/resume handshake", what)
+						"range over channel inside %s would block the engine, which runs callbacks and processes inline", what)
 				}
 			}
 		case *ast.CallExpr:

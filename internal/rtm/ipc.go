@@ -22,6 +22,7 @@ type portWaiter struct {
 // I/O-done manager thread.
 type Port struct {
 	name    string
+	reason  string // "port:" + name, the block reason of a waiting receiver
 	msgs    []any
 	waiters []*portWaiter
 	dead    bool
@@ -29,7 +30,15 @@ type Port struct {
 }
 
 // NewPort returns an empty port.
-func (k *Kernel) NewPort(name string) *Port { return &Port{name: name} }
+func (k *Kernel) NewPort(name string) *Port { return newPort(name, "") }
+
+// newPort returns an empty port named name+suffix. The name is a tail of
+// the block reason, so both cost one string built here rather than one per
+// blocking receive.
+func newPort(name, suffix string) *Port {
+	reason := "port:" + name + suffix
+	return &Port{name: reason[len("port:"):], reason: reason}
+}
 
 // Name returns the port name.
 func (p *Port) Name() string { return p.name }
@@ -69,7 +78,7 @@ func (p *Port) receive(t *Thread) (msg any, ok bool) {
 		if p.dead {
 			return nil, false
 		}
-		t.block("port:" + p.name)
+		t.block(p.reason)
 	}
 	return w.msg, true
 }
@@ -157,7 +166,7 @@ func (p *Port) Call(t *Thread, req any) any {
 	if p.dead {
 		return DeadName{Port: p}
 	}
-	reply := &Port{name: p.name + ".reply"}
+	reply := newPort(p.name, ".reply")
 	p.Send(rpcEnvelope{req: req, reply: reply})
 	m, ok := reply.receive(t)
 	if !ok {
@@ -209,7 +218,7 @@ func (k *Kernel) NewBoundedPort(name string, capacity int) *BoundedPort {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BoundedPort{p: &Port{name: name}, cap: capacity}
+	return &BoundedPort{p: newPort(name, ""), cap: capacity}
 }
 
 // Name returns the port name.
@@ -264,7 +273,7 @@ func (b *BoundedPort) Call(t *Thread, req any) (any, error) {
 		b.rejected++
 		return nil, ErrPortFull
 	}
-	reply := &Port{name: b.p.name + ".reply"}
+	reply := newPort(b.p.name, ".reply")
 	b.p.Send(rpcEnvelope{req: req, reply: reply})
 	m, ok := reply.receive(t)
 	if !ok {
@@ -302,6 +311,7 @@ func (b *BoundedPort) ReceiveCall(t *Thread) (req any, reply func(resp any), ok 
 // chain.
 type Mutex struct {
 	name    string
+	reason  string // "mutex:" + name, the block reason of a waiter
 	inherit bool
 	owner   *Thread
 	waiters []*Thread
@@ -309,7 +319,7 @@ type Mutex struct {
 
 // NewMutex returns an unlocked mutex. inherit enables priority inheritance.
 func (k *Kernel) NewMutex(name string, inherit bool) *Mutex {
-	return &Mutex{name: name, inherit: inherit}
+	return &Mutex{name: name, reason: "mutex:" + name, inherit: inherit}
 }
 
 // boostChain raises the holder's priority and follows the blocking chain.
@@ -332,7 +342,7 @@ func (m *Mutex) Lock(t *Thread) {
 			m.boostChain(t.EffectivePriority())
 		}
 		t.blockedOn = m
-		t.block("mutex:" + m.name)
+		t.block(m.reason)
 		t.blockedOn = nil
 	}
 	m.owner = t

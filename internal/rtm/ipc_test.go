@@ -79,6 +79,47 @@ func TestPortRPC(t *testing.T) {
 	}
 }
 
+// Each blocking point reports a reason naming the kernel object it waits
+// on; the text is part of the debugging surface (crastrace, chaos dumps).
+func TestBlockedReasons(t *testing.T) {
+	e := sim.NewEngine(1)
+	k := NewKernel(e)
+	inbox := k.NewPort("inbox")
+	svc := k.NewPort("svc")
+	bsvc := k.NewBoundedPort("bsvc", 1)
+	m := k.NewMutex("lock", true)
+	threads := map[string]*Thread{
+		"rx":      k.NewThread("rx", PrioTS, 0, func(th *Thread) { inbox.Receive(th) }),
+		"caller":  k.NewThread("caller", PrioTS, 0, func(th *Thread) { svc.Call(th, 1) }),
+		"bcaller": k.NewThread("bcaller", PrioTS, 0, func(th *Thread) { _, _ = bsvc.Call(th, 1) }),
+		"holder": k.NewThread("holder", PrioTS, 0, func(th *Thread) {
+			m.Lock(th)
+			th.Compute(ms(100))
+			m.Unlock(th)
+		}),
+		"locker": k.NewThread("locker", PrioTS, 0, func(th *Thread) {
+			th.Sleep(ms(1))
+			m.Lock(th)
+			m.Unlock(th)
+		}),
+	}
+	want := map[string]string{
+		"rx":      "port:inbox",
+		"caller":  "port:svc.reply",
+		"bcaller": "port:bsvc.reply",
+		"holder":  "cpu:holder",
+		"locker":  "mutex:lock",
+	}
+	e.At(ms(5), func() {
+		for name, th := range threads {
+			if got := th.Proc().BlockedReason(); got != want[name] {
+				t.Errorf("%s: BlockedReason = %q, want %q", name, got, want[name])
+			}
+		}
+	})
+	e.RunUntil(ms(10))
+}
+
 func TestMutexMutualExclusion(t *testing.T) {
 	e := sim.NewEngine(1)
 	k := NewKernel(e)

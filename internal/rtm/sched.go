@@ -72,12 +72,13 @@ func (s ThreadState) String() string {
 
 // Thread is a simulated kernel thread.
 type Thread struct {
-	k       *Kernel
-	proc    *sim.Proc
-	name    string
-	base    int // assigned priority
-	boost   int // inherited priority (0 = none); effective = max(base, boost)
-	quantum sim.Time
+	k         *Kernel
+	proc      *sim.Proc
+	name      string
+	cpuReason string // "cpu:" + name, the block reason while waiting for the CPU
+	base      int    // assigned priority
+	boost     int    // inherited priority (0 = none); effective = max(base, boost)
+	quantum   sim.Time
 
 	state     ThreadState
 	remaining sim.Time // CPU still owed for the current Compute
@@ -100,7 +101,7 @@ func (k *Kernel) NewThread(name string, prio int, quantum sim.Time, body func(t 
 	if prio < PrioIdle || prio > PrioInterrupt {
 		panic(fmt.Sprintf("rtm: priority %d out of range", prio))
 	}
-	t := &Thread{k: k, name: name, base: prio, quantum: quantum, state: StateNew}
+	t := &Thread{k: k, name: name, cpuReason: "cpu:" + name, base: prio, quantum: quantum, state: StateNew}
 	t.proc = k.eng.Spawn(name, func(p *sim.Proc) {
 		t.state = StateRunnable
 		body(t)
@@ -170,7 +171,7 @@ func (t *Thread) Compute(d sim.Time) {
 	t.enqueuedAt = t.k.eng.Now()
 	t.k.pushBack(t)
 	t.k.dispatch()
-	t.proc.Block("cpu:" + t.name)
+	t.proc.Block(t.cpuReason)
 }
 
 // Sleep suspends the thread for d; it holds no CPU while sleeping.

@@ -17,11 +17,13 @@
 //     absolute or relative virtual time. Callbacks run on the engine
 //     goroutine, one at a time.
 //
-//   - Processes: Engine.Spawn starts a goroutine with sequential blocking
-//     semantics (Sleep, Block/Unblock, Queue.Get). Exactly one process or
-//     event callback executes at any moment; control transfer is an explicit
-//     handshake, so processes interleave deterministically in (time, seq)
-//     order just like events.
+//   - Processes: Engine.Spawn starts an iter.Pull coroutine with sequential
+//     blocking semantics (Sleep, Block/Unblock, Queue.Get). Exactly one
+//     process or event callback executes at any moment: an event resumes a
+//     process with a direct coroutine switch and the process switches back
+//     when it blocks, so processes interleave deterministically in (time,
+//     seq) order just like events. A panic in a process body propagates out
+//     of the Step that resumed it. The coroutines need Go 1.23.
 //
 // Randomness is only available through named RNG streams (Engine.RNG) whose
 // seeds derive from the engine seed and the stream name, keeping stochastic

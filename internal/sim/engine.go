@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -14,31 +13,10 @@ type Time = time.Duration
 // Infinity is a virtual time later than any time an experiment will reach.
 const Infinity Time = math.MaxInt64
 
-// Timer is a handle to a scheduled event. It can be cancelled before it
-// fires.
+// Timer is a scheduled event and the caller's handle to it: the calendar
+// holds the same object At returns, so scheduling costs one allocation. It
+// can be cancelled before it fires.
 type Timer struct {
-	ev *event
-}
-
-// Cancel prevents the event from firing. It reports whether the event was
-// still pending (true) or had already fired or been cancelled (false).
-func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.cancelled || t.ev.fired {
-		return false
-	}
-	t.ev.cancelled = true
-	return true
-}
-
-// Pending reports whether the event has neither fired nor been cancelled.
-func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && !t.ev.cancelled && !t.ev.fired
-}
-
-// When returns the virtual time at which the event is (or was) scheduled.
-func (t *Timer) When() Time { return t.ev.at }
-
-type event struct {
 	at        Time
 	seq       uint64
 	fn        func()
@@ -46,53 +24,100 @@ type event struct {
 	fired     bool
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// Cancel prevents the event from firing. It reports whether the event was
+// still pending (true) or had already fired or been cancelled (false).
+func (t *Timer) Cancel() bool {
+	if !t.Pending() {
+		return false
 	}
-	return h[i].seq < h[j].seq
+	t.cancelled = true
+	return true
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// Pending reports whether the event has neither fired nor been cancelled.
+func (t *Timer) Pending() bool {
+	return t != nil && !t.cancelled && !t.fired
 }
-func (h eventHeap) Peek() *event { return h[0] }
+
+// When returns the virtual time at which the event is (or was) scheduled.
+func (t *Timer) When() Time { return t.at }
+
+// before is the calendar order: time, then scheduling sequence, so events
+// at one instant fire first-scheduled first.
+func before(a, b *Timer) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of timers in calendar order. Cancelled
+// timers stay in it until they reach the head and are discarded.
+type eventHeap []*Timer
+
+func (h *eventHeap) push(t *Timer) {
+	*h = append(*h, t) //crasvet:allow hotalloc -- the calendar's backing array grows to the peak event count once and is reused from then on
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(t, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = t
+}
+
+// pop removes and returns the head. The heap must be non-empty.
+func (h *eventHeap) pop() *Timer {
+	q := *h
+	head := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return head
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && before(q[r], q[child]) {
+			child = r
+		}
+		if !before(q[child], last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return head
+}
 
 // Engine is a discrete-event simulation engine. It is not safe for
-// concurrent use from multiple goroutines except through the process
-// primitives, which serialize themselves.
+// concurrent use from multiple goroutines: event callbacks and processes
+// run one at a time, synchronously inside the Step, Run or RunUntil call
+// that fires them.
 type Engine struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
 	seed    int64
 	stopped bool
-
-	// park is the handshake channel between the engine goroutine and the
-	// currently running process goroutine: whichever side is about to give
-	// up control sends on it and the other side receives.
-	park chan struct{}
-
-	// procPanic carries a panic out of a process goroutine so the engine
-	// can re-raise it where the test harness will see it.
-	procPanic any
-	live      int // live (spawned, not yet finished) processes
-	tracer    func(t Time, format string, args ...any)
+	tracer  func(t Time, format string, args ...any)
 }
 
 // NewEngine returns an engine positioned at virtual time zero. The seed
 // determines every named RNG stream drawn from the engine.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, park: make(chan struct{})}
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -118,9 +143,9 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //crasvet:allow hotalloc -- formats only on the way to a causality panic; a clean cycle never evaluates it
 	}
 	e.seq++
-	ev := &event{at: t, seq: e.seq, fn: fn} //crasvet:allow hotalloc -- one event record per scheduled callback is the engine's unit of work; pooling would tie reuse to Timer lifetimes and break Stop-after-fire
-	heap.Push(&e.events, ev)
-	return &Timer{ev: ev} //crasvet:allow hotalloc -- the Timer handle escapes to the caller by contract
+	tm := &Timer{at: t, seq: e.seq, fn: fn} //crasvet:allow hotalloc -- one Timer per scheduled callback is the engine's unit of work and escapes to the caller by contract; pooling would tie reuse to handle lifetimes and break Cancel-after-fire
+	e.events.push(tm)
+	return tm
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -135,21 +160,17 @@ func (e *Engine) After(d Time, fn func()) *Timer {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the next pending event, advancing virtual time to it. It
-// reports whether an event fired.
+// reports whether an event fired. A panic in the event's callback, or in a
+// process the event resumes, propagates out of Step.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.cancelled {
+		tm := e.events.pop()
+		if tm.cancelled {
 			continue
 		}
-		e.now = ev.at
-		ev.fired = true
-		ev.fn()
-		if e.procPanic != nil {
-			p := e.procPanic
-			e.procPanic = nil
-			panic(p)
-		}
+		e.now = tm.at
+		tm.fired = true
+		tm.fn()
 		return true
 	}
 	return false
@@ -170,11 +191,11 @@ func (e *Engine) RunUntil(t Time) {
 			break
 		}
 		// Skip over cancelled heads without advancing time.
-		if e.events.Peek().cancelled {
-			heap.Pop(&e.events)
+		if e.events[0].cancelled {
+			e.events.pop()
 			continue
 		}
-		if e.events.Peek().at > t {
+		if e.events[0].at > t {
 			break
 		}
 		e.Step()
@@ -190,8 +211,8 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // PendingEvents returns the number of scheduled, non-cancelled events.
 func (e *Engine) PendingEvents() int {
 	n := 0
-	for _, ev := range e.events {
-		if !ev.cancelled {
+	for _, tm := range e.events {
+		if !tm.cancelled {
 			n++
 		}
 	}

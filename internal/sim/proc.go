@@ -1,25 +1,37 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated sequential process: a goroutine whose execution is
-// interleaved deterministically with the engine's events. At most one
-// process (or event callback) runs at a time; a process gives up control
-// only at explicit blocking points (Sleep, Block, Queue.Get, ...).
+// Proc is a simulated sequential process: a coroutine (iter.Pull) whose
+// execution is interleaved deterministically with the engine's events. At
+// most one process (or event callback) runs at a time; a process gives up
+// control only at explicit blocking points (Sleep, Block, Queue.Get, ...).
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	dead   bool
+	eng  *Engine
+	name string
+	dead bool
 
-	// blocked is non-nil while the process is parked in Block, and is the
-	// timer used to wake it (nil timer means waiting for Unblock).
+	// next (from iter.Pull) resumes the body until it yields; yieldFn is
+	// the yield iter.Pull hands the body, captured when it first runs.
+	// Either way a switch is a direct coroutine switch, not a trip through
+	// the Go scheduler.
+	next    func() (struct{}, bool)
+	yieldFn func(struct{}) bool
+
+	// blockedReason is non-empty while the process is parked in Block;
+	// wakePending records an Unblock that arrived before the Block.
 	blockedReason string
 	wakePending   bool
 
-	// wakeFn is the hoisted wakeup continuation shared by every Sleep,
-	// SleepUntil and Unblock: allocated once per process so resuming a
-	// process never captures a fresh closure on the scheduler's hot path.
+	// wakeFn is the hoisted wakeup continuation shared by the spawn event
+	// and every Sleep, SleepUntil and Unblock: allocated once per process
+	// so resuming a process never captures a fresh closure on the
+	// scheduler's hot path.
 	wakeFn func()
 }
 
@@ -33,46 +45,37 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Dead() bool { return p.dead }
 
 // Spawn starts a new process whose body begins executing at the current
-// virtual time (after already-scheduled events for this instant).
+// virtual time (after already-scheduled events for this instant). A panic
+// in the body marks the process dead and propagates out of the Step that
+// resumed it, naming the process.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
+		defer func() {
+			p.dead = true
+			if r := recover(); r != nil {
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+			}
+		}()
+		body(p)
+	})
 	p.wakeFn = func() {
 		if !p.dead {
 			p.run()
 		}
 	}
-	e.live++
-	e.At(e.now, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					e.procPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-				}
-				p.dead = true
-				e.live--
-				e.park <- struct{}{} // hand control back for good
-			}()
-			<-p.resume // wait for first dispatch
-			body(p)
-		}()
-		p.run()
-	})
+	e.At(e.now, p.wakeFn)
 	return p
 }
 
-// run transfers control from the engine (or whichever context is executing)
-// to the process goroutine and waits for it to yield.
-func (p *Proc) run() {
-	p.resume <- struct{}{}
-	<-p.eng.park
-}
+// run transfers control from the engine to the process and returns when
+// the process yields or its body ends.
+func (p *Proc) run() { p.next() }
 
-// yield transfers control from the process goroutine back to the engine and
-// waits to be resumed.
-func (p *Proc) yield() {
-	p.eng.park <- struct{}{}
-	<-p.resume
-}
+// yield transfers control from the process back to whichever engine
+// context resumed it, and returns when the process is resumed again.
+func (p *Proc) yield() { p.yieldFn(struct{}{}) }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Time) {

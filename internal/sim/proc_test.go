@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -96,15 +97,80 @@ func TestProcDeadAfterReturn(t *testing.T) {
 	p.Unblock() // must be a no-op, not a hang or panic
 }
 
+// stepRecover fires one event and returns whatever panic it raised.
+func stepRecover(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Step()
+	return nil
+}
+
+// A panic in a process body surfaces from the Step that resumed the
+// process, names the process and carries the cause, and leaves the engine
+// usable with the process dead.
 func TestProcPanicPropagates(t *testing.T) {
-	e := NewEngine(1)
-	e.Spawn("bomb", func(p *Proc) { panic("boom") })
-	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate to Run")
+	check := func(t *testing.T, r any) {
+		t.Helper()
+		msg, ok := r.(string)
+		if !ok {
+			t.Fatalf("recovered %T %v, want a string naming the process", r, r)
 		}
-	}()
-	e.Run()
+		if !strings.Contains(msg, `"bomb"`) || !strings.Contains(msg, "boom") {
+			t.Fatalf("recovered %q, want the process name \"bomb\" and the cause boom", msg)
+		}
+	}
+
+	t.Run("first-dispatch", func(t *testing.T) {
+		e := NewEngine(1)
+		p := e.Spawn("bomb", func(p *Proc) { panic("boom") })
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			e.Run()
+			return nil
+		}()
+		if r == nil {
+			t.Fatal("process panic did not propagate to Run")
+		}
+		check(t, r)
+		if !p.Dead() {
+			t.Fatal("panicked process not marked dead")
+		}
+	})
+
+	t.Run("after-wake", func(t *testing.T) {
+		e := NewEngine(1)
+		p := e.Spawn("bomb", func(p *Proc) {
+			p.Block("fuse")
+			panic("boom")
+		})
+		later := false
+		e.At(ms(10), func() { p.Unblock() })
+		e.At(ms(20), func() { later = true })
+		if r := stepRecover(e); r != nil {
+			t.Fatalf("spawn step panicked: %v", r)
+		}
+		if p.BlockedReason() != "fuse" {
+			t.Fatalf("BlockedReason = %q after spawn, want fuse", p.BlockedReason())
+		}
+		if r := stepRecover(e); r != nil { // the Unblock event
+			t.Fatalf("unblock step panicked: %v", r)
+		}
+		r := stepRecover(e) // the wakeup resumes the body
+		if r == nil {
+			t.Fatal("panic after wakeup did not propagate out of Step")
+		}
+		check(t, r)
+		if e.Now() != ms(10) {
+			t.Fatalf("panic surfaced at %v, want 10ms", e.Now())
+		}
+		if !p.Dead() {
+			t.Fatal("panicked process not marked dead")
+		}
+		p.Unblock() // a dead process ignores wakeups
+		e.Run()
+		if !later {
+			t.Fatal("engine did not keep firing events after the panic")
+		}
+	})
 }
 
 func TestSleepUntil(t *testing.T) {
@@ -205,6 +271,16 @@ func TestQueueGetBeforePut(t *testing.T) {
 	e.Run()
 	if at != ms(33) {
 		t.Fatalf("consumer resumed at %v, want 33ms", at)
+	}
+}
+
+func TestQueueBlockedReason(t *testing.T) {
+	e := NewEngine(1)
+	q := NewQueue[int]("inbox")
+	p := e.Spawn("c", func(p *Proc) { q.Get(p) })
+	e.RunUntil(ms(1))
+	if got := p.BlockedReason(); got != "wait:inbox" {
+		t.Fatalf("BlockedReason = %q, want wait:inbox", got)
 	}
 }
 

@@ -3,8 +3,12 @@ package sim
 // Waiter is a FIFO list of blocked processes. It is the building block for
 // higher-level synchronization (queues, ports, mutexes).
 type Waiter struct {
-	name  string
-	procs []*Proc
+	name string
+	// reason is "wait:" + name, built by the first Wait and reused by every
+	// later one. Not built in NewWaiter: the ufs buffer cache makes a
+	// Waiter per cached block and rarely waits on one.
+	reason string
+	procs  []*Proc
 }
 
 // NewWaiter returns an empty wait list; name appears in block reasons.
@@ -12,8 +16,11 @@ func NewWaiter(name string) *Waiter { return &Waiter{name: name} }
 
 // Wait parks the calling process on the list until a Wake delivers to it.
 func (w *Waiter) Wait(p *Proc) {
+	if w.reason == "" {
+		w.reason = "wait:" + w.name
+	}
 	w.procs = append(w.procs, p)
-	p.Block("wait:" + w.name)
+	p.Block(w.reason)
 }
 
 // WakeOne unblocks the longest-waiting process, if any, and reports whether
@@ -58,14 +65,13 @@ func (w *Waiter) Remove(p *Proc) bool {
 // Queue is an unbounded FIFO message queue with blocking receive. Put never
 // blocks; Get blocks the calling process until an item is available.
 type Queue[T any] struct {
-	name    string
 	items   []T
 	waiters *Waiter
 }
 
 // NewQueue returns an empty queue; name appears in block reasons.
 func NewQueue[T any](name string) *Queue[T] {
-	return &Queue[T]{name: name, waiters: NewWaiter(name)}
+	return &Queue[T]{waiters: NewWaiter(name)}
 }
 
 // Put appends an item and wakes one waiting receiver if present. It may be
