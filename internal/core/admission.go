@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/disk"
@@ -149,13 +150,19 @@ func (a AdmissionParams) RequiredInterval(streams []StreamParams) (sim.Time, err
 	var rTotal float64
 	var cTotal int64
 	for _, s := range streams {
-		if s.Cached || s.Multicast || s.Paused {
+		if !s.loadsDisk() {
 			continue
 		}
 		n++
 		rTotal += s.Rate
 		cTotal += s.Chunk
 	}
+	return a.requiredInterval(n, rTotal, cTotal)
+}
+
+// requiredInterval is RequiredInterval over a batch already summed: n
+// operations moving rTotal bytes/second plus cTotal bytes of chunk slack.
+func (a AdmissionParams) requiredInterval(n int, rTotal float64, cTotal int64) (sim.Time, error) {
 	if n == 0 {
 		return 0, nil
 	}
@@ -167,6 +174,10 @@ func (a AdmissionParams) RequiredInterval(streams []StreamParams) (sim.Time, err
 	t := (oTotal*a.D + float64(cTotal)) / (a.D - rTotal)
 	return sim.Time(t * float64(time.Second)), nil
 }
+
+// loadsDisk reports whether the stream reads from the disk at all: cache
+// followers, fan-out members and paused streams do not.
+func (s StreamParams) loadsDisk() bool { return !s.Cached && !s.Multicast && !s.Paused }
 
 // BufferPerStream is B_i, formula (7): 2*(T*R_i + C_i) — double-buffering
 // one interval's worth of data.
@@ -326,20 +337,6 @@ func VolumeParams(t sim.Time, par StreamParams, shape VolumeShape) StreamParams 
 	return par
 }
 
-// touchesDisk reports whether the stream loads member d of an n-member
-// volume.
-func (s StreamParams) touchesDisk(d int) bool {
-	if s.Disks == nil {
-		return true
-	}
-	for _, sd := range s.Disks {
-		if sd == d {
-			return true
-		}
-	}
-	return false
-}
-
 // diskLoad is the per-interval byte load the stream puts on one member it
 // touches.
 func (s StreamParams) diskLoad(t sim.Time) int64 {
@@ -367,6 +364,13 @@ func (a AdmissionParams) AdmitVolume(t sim.Time, budget int64, ndisks int, strea
 // caller then walks over-committed streams down the health ladder). Dead
 // members receive no traffic and are skipped. A non-parity shape is
 // AdmitVolume byte for byte.
+//
+// Each member sees, per interval, one operation per stream that touches it,
+// moving that stream's per-member byte share: a fixed-bytes load, so formula
+// (1) for the member has zero rate and the shares as chunk slack. One pass
+// over the set sums the operations and bytes of the streams that touch
+// every member (Disks nil) once, and those of streams pinned to members per
+// member; the members are then checked in order against their sums.
 func (a AdmissionParams) AdmitShape(t sim.Time, budget int64, shape VolumeShape, streams []StreamParams) error {
 	ndisks := shape.Disks
 	if ndisks <= 0 {
@@ -377,27 +381,41 @@ func (a AdmissionParams) AdmitShape(t sim.Time, budget int64, shape VolumeShape,
 	if ndisks == 1 {
 		return a.Admit(t, budget, streams)
 	}
-	live := ndisks - shape.Dead
-	for d := 0; d < ndisks; d++ {
-		if shape.Parity && shape.Dead > 0 && d >= live {
-			// One member is dead; which one does not matter to the bound —
-			// every survivor carries the same full-row degraded load, so the
-			// test runs over live "slots" rather than member identities.
-			break
+	checked := ndisks
+	if shape.Parity && shape.Dead > 0 {
+		// One member is dead; which one does not matter to the bound —
+		// every survivor carries the same full-row degraded load, so the
+		// test runs over the live "slots" rather than member identities.
+		checked = max(ndisks-shape.Dead, 0)
+	}
+	var all memberLoad
+	var pinned []memberLoad // per checked member, made on the first pinned stream
+	for _, s := range streams {
+		if !s.loadsDisk() {
+			continue
 		}
-		// Each member sees, per interval, one operation per stream that
-		// touches it, moving that stream's per-member byte share: a
-		// fixed-bytes load, expressed as Chunk with zero rate so
-		// RequiredInterval solves formula (1) for this member.
-		var sub []StreamParams
-		for _, s := range streams {
-			if s.Cached || s.Multicast || s.Paused || !s.touchesDisk(d) {
-				continue
+		load := s.shapeLoad(t, shape)
+		if s.Disks == nil {
+			all.add(load)
+			continue
+		}
+		if pinned == nil {
+			pinned = make([]memberLoad, checked) //crasvet:allow hotalloc -- only for streams pinned to members, which no server path builds
+		}
+		for i, d := range s.Disks {
+			if d < 0 || d >= checked || slices.Contains(s.Disks[:i], d) {
+				continue // not a checked member, or already charged
 			}
-			//crasvet:allow hotalloc -- admission test scratch, bounded by open streams; hot-reachable only via the once-per-member-death re-admission
-			sub = append(sub, StreamParams{Chunk: s.shapeLoad(t, shape)})
+			pinned[d].add(load)
 		}
-		need, err := a.RequiredInterval(sub)
+	}
+	for d := 0; d < checked; d++ {
+		m := all
+		if pinned != nil {
+			m.ops += pinned[d].ops
+			m.bytes += pinned[d].bytes
+		}
+		need, err := a.requiredInterval(m.ops, 0, m.bytes)
 		if err != nil {
 			//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
 			return &AdmissionError{Interval: t, NeedBuffer: TotalBuffer(t, streams), Budget: budget,
@@ -416,6 +434,18 @@ func (a AdmissionParams) AdmitShape(t sim.Time, budget int64, shape VolumeShape,
 			Reason: "buffer memory exhausted"}
 	}
 	return nil
+}
+
+// memberLoad is one member disk's per-interval batch in AdmitShape: its
+// operation count and the bytes they move.
+type memberLoad struct {
+	ops   int
+	bytes int64
+}
+
+func (m *memberLoad) add(bytes int64) {
+	m.ops++
+	m.bytes += bytes
 }
 
 // CalculatedIOTime is the admission model's estimate of the disk time one

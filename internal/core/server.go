@@ -311,6 +311,10 @@ type Server struct {
 	rebuild  *rebuildState //crasvet:confined
 	rebuildQ []rebuildAck  //crasvet:confined
 
+	// admitScratch backs the candidate sets admissionSet and readmitSet
+	// build for every open, VCR re-admission and promotion probe.
+	admitScratch []StreamParams //crasvet:confined
+
 	// memberOps is deliberately not confined: FailMember/ReplaceMember
 	// append from the caller's context (the draining precedent) and the
 	// scheduler drains at the cycle edge.
@@ -926,9 +930,11 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			s.submitFrag(fg)
 		}
 	}
-	//crasvet:allow hotalloc -- one trace summary per cycle, not per stream; keeping it is worth one boxed arg slice
-	s.k.Engine().Tracef("cras: cycle %d: %d streams, %d ops (%d fragments), %d bytes, %d chunks stamped",
-		cycle, active, len(batch), cs.remaining, cs.bytes, stamped)
+	if eng := s.k.Engine(); eng.Tracing() {
+		//crasvet:allow hotalloc -- one trace summary per cycle, boxed only while a tracer is installed
+		eng.Tracef("cras: cycle %d: %d streams, %d ops (%d fragments), %d bytes, %d chunks stamped",
+			cycle, active, len(batch), cs.remaining, cs.bytes, stamped)
+	}
 	return !s.stopping
 }
 
@@ -1114,14 +1120,18 @@ func (s *Server) admit(set []StreamParams) error {
 }
 
 // admissionSet returns the StreamParams of all open streams plus extras.
+// The set lives in the server's scratch slice (admitScratch): it is valid
+// until the next admissionSet or readmitSet call.
 func (s *Server) admissionSet(extra ...StreamParams) []StreamParams {
-	var set []StreamParams
+	set := s.admitScratch[:0]
 	for _, st := range s.streams {
 		if !st.closed {
 			set = append(set, st.par)
 		}
 	}
-	return append(set, extra...)
+	set = append(set, extra...)
+	s.admitScratch = set
+	return set
 }
 
 func (s *Server) handleRequest(t *rtm.Thread, req any) any {

@@ -75,9 +75,11 @@ func (s *Server) vcrRefusal(op, reason string, cause error) *VCRError {
 // operation would strand — the followers of st-as-leader and the members
 // of st-as-feed — which are priced as the plain disk streams the detach
 // will leave them as (matching cacheDetach/mcastDetach exactly), so the
-// test can never pass on charges the detach is about to change.
-func (s *Server) readmitSet(st *stream) []StreamParams {
-	var set []StreamParams
+// test can never pass on charges the detach is about to change. The set
+// ends with st's candidate charge and, like admissionSet's, lives in the
+// server's scratch slice until the next call.
+func (s *Server) readmitSet(st *stream, cand StreamParams) []StreamParams {
+	set := s.admitScratch[:0]
 	for _, other := range s.streams {
 		if other.closed || other == st {
 			continue
@@ -86,8 +88,10 @@ func (s *Server) readmitSet(st *stream) []StreamParams {
 		if s.strandedBy(st, other) {
 			par = StreamParams{Rate: par.Rate, Chunk: par.Chunk}
 		}
-		set = append(set, par) //crasvet:allow hotalloc -- re-admission set built once per VCR op or promotion attempt, not per steady cycle
+		set = append(set, par) //crasvet:allow hotalloc -- scratch grows to the peak open-stream count once and is reused from then on
 	}
+	set = append(set, cand) //crasvet:allow hotalloc -- same reused scratch
+	s.admitScratch = set
 	return set
 }
 
@@ -155,10 +159,11 @@ func (s *Server) ladderSnap(want float64) float64 {
 // frames, so they only ever try want. Returns the admitted plain params
 // and the delivered rate, or the last admission error.
 func (s *Server) admitLadder(st *stream, vel, want float64) (StreamParams, float64, error) {
-	set := s.readmitSet(st)
+	set := s.readmitSet(st, StreamParams{})
 	try := func(dr float64) (StreamParams, error) {
 		par := s.volParams(StreamParams{Rate: st.baseRate * vel * dr, Chunk: st.par.Chunk})
-		return par, s.admit(append(set, par))
+		set[len(set)-1] = par
+		return par, s.admit(set)
 	}
 	par, err := try(want)
 	if err == nil {
@@ -251,7 +256,7 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 		}
 		vel := st.clock.Rate()
 		par := s.volParams(StreamParams{Rate: st.baseRate * vel * next, Chunk: st.par.Chunk})
-		if s.admit(append(s.readmitSet(st), par)) != nil { //crasvet:allow hotalloc -- one admission probe per cycle, only while a reduced stream awaits promotion
+		if s.admit(s.readmitSet(st, par)) != nil {
 			return // no spare interval time this cycle; keep the rung
 		}
 		st.par = par
@@ -376,7 +381,7 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 		(st.pc != nil && st.pc.leader == st && len(st.pc.followers) > 0) ||
 		(st.mg != nil && st.mg.feed == st && len(st.mg.members) > 0)
 	if detaches {
-		if err := s.admit(append(s.readmitSet(st), plain)); err != nil {
+		if err := s.admit(s.readmitSet(st, plain)); err != nil {
 			s.stats.AdmissionRejects++
 			s.stats.SeeksRefused++
 			return opResp{err: s.vcrRefusal("seek", "re-admission at the new position failed", err)}
@@ -443,7 +448,7 @@ func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) 
 	}
 	par := st.par
 	par.CacheBytes = s.cacheCharge(gap, par)
-	if s.admit(append(s.readmitSet(st), par)) != nil {
+	if s.admit(s.readmitSet(st, par)) != nil {
 		// The re-priced pinned interval does not fit the memory budget;
 		// the full path decides between plain-stream service and refusal.
 		return opResp{}, false

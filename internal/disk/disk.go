@@ -251,15 +251,18 @@ func (d *Disk) startNext() {
 
 	d.arm = d.geo.CylinderOf(r.LBA + int64(r.Count) - 1)
 	d.activeEnd = d.eng.Now() + service
-	kind, qn := "read", "normal"
-	if r.Write {
-		kind = "write"
+	if d.eng.Tracing() {
+		kind, qn := "read", "normal"
+		if r.Write {
+			kind = "write"
+		}
+		if r.RealTime {
+			qn = "rt"
+		}
+		//crasvet:allow hotalloc -- per-request trace line, boxed only while a tracer is installed
+		d.eng.Tracef("disk %s: %s %s lba=%d sectors=%d cyl=%d seek=%v rot=%v service=%v",
+			d.name, qn, kind, r.LBA, r.Count, r.cyl, seek, rotWait, service)
 	}
-	if r.RealTime {
-		qn = "rt"
-	}
-	d.eng.Tracef("disk %s: %s %s lba=%d sectors=%d cyl=%d seek=%v rot=%v service=%v",
-		d.name, qn, kind, r.LBA, r.Count, r.cyl, seek, rotWait, service)
 	if r.fdec.stall {
 		// The completion interrupt never fires: the mechanism wedges with
 		// this request in service until the host abandons it with Cancel.

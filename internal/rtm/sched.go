@@ -26,6 +26,7 @@ type Kernel struct {
 	burstStart sim.Time
 	burstTimer *sim.Timer
 	burstSlice sim.Time
+	burstEndFn func()    // k.burstEnd, bound once so a burst allocates no closure
 	ready      []*Thread // dispatch order list; selection scans for max prio
 
 	// Stats.
@@ -35,7 +36,11 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel on the given engine.
-func NewKernel(eng *sim.Engine) *Kernel { return &Kernel{eng: eng} }
+func NewKernel(eng *sim.Engine) *Kernel {
+	k := &Kernel{eng: eng}
+	k.burstEndFn = k.burstEnd
+	return k
+}
 
 // Engine returns the underlying simulation engine.
 func (k *Kernel) Engine() *sim.Engine { return k.eng }
@@ -300,7 +305,7 @@ func (k *Kernel) startBurst(t *Thread) {
 		slice = t.quantum
 	}
 	k.burstSlice = slice
-	k.burstTimer = k.eng.After(slice, k.burstEnd)
+	k.burstTimer = k.eng.After(slice, k.burstEndFn)
 }
 
 func (k *Kernel) burstEnd() {

@@ -24,6 +24,12 @@
 //     when it blocks, so processes interleave deterministically in (time,
 //     seq) order just like events. A panic in a process body propagates out
 //     of the Step that resumed it. The coroutines need Go 1.23.
+//     Each process owns its wake-up event: a Timer embedded in the Proc
+//     that Spawn, Sleep, SleepUntil and Unblock re-arm. A process has at
+//     most one pending wake-up, so scheduling one allocates nothing. The
+//     timer draws its sequence number when it is armed, as At does, so
+//     wake-ups and plain events at one instant still fire
+//     first-scheduled first. Callers never see the process's timer.
 //
 // Randomness is only available through named RNG streams (Engine.RNG) whose
 // seeds derive from the engine seed and the stream name, keeping stochastic

@@ -134,18 +134,31 @@ func (e *Engine) Tracef(format string, args ...any) {
 	}
 }
 
+// Tracing reports whether a tracer is installed. Hot paths test it before
+// calling Tracef so the variadic arguments are not boxed for nothing.
+func (e *Engine) Tracing() bool { return e.tracer != nil }
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: the simulation's causality would be violated. Scheduling at the
 // current time is allowed; the event runs after all events already scheduled
 // for that time.
 func (e *Engine) At(t Time, fn func()) *Timer {
+	tm := &Timer{fn: fn} //crasvet:allow hotalloc -- one Timer per scheduled callback is the engine's unit of work and escapes to the caller by contract; pooling would tie reuse to handle lifetimes and break Cancel-after-fire
+	e.arm(tm, t)
+	return tm
+}
+
+// arm schedules tm, whose fn is already set, at t with the next sequence
+// number. A timer the calendar no longer holds (fired, or never scheduled)
+// may be re-armed; one still pending must not be.
+func (e *Engine) arm(tm *Timer, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //crasvet:allow hotalloc -- formats only on the way to a causality panic; a clean cycle never evaluates it
 	}
 	e.seq++
-	tm := &Timer{at: t, seq: e.seq, fn: fn} //crasvet:allow hotalloc -- one Timer per scheduled callback is the engine's unit of work and escapes to the caller by contract; pooling would tie reuse to handle lifetimes and break Cancel-after-fire
+	tm.at, tm.seq = t, e.seq
+	tm.cancelled, tm.fired = false, false
 	e.events.push(tm)
-	return tm
 }
 
 // After schedules fn to run d after the current virtual time.

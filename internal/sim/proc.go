@@ -28,11 +28,12 @@ type Proc struct {
 	blockedReason string
 	wakePending   bool
 
-	// wakeFn is the hoisted wakeup continuation shared by the spawn event
-	// and every Sleep, SleepUntil and Unblock: allocated once per process
-	// so resuming a process never captures a fresh closure on the
-	// scheduler's hot path.
-	wakeFn func()
+	// wake is the process's own calendar event, re-armed by Spawn and by
+	// every Sleep, SleepUntil and Unblock. A process has at most one
+	// pending wake-up — it is either running, blocked with none, or
+	// waiting for exactly this one to fire — so resuming a process
+	// allocates nothing. Its fn is the wake-up continuation, set once.
+	wake Timer
 }
 
 // Name returns the process name given to Spawn.
@@ -60,12 +61,12 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		}()
 		body(p)
 	})
-	p.wakeFn = func() {
+	p.wake.fn = func() {
 		if !p.dead {
 			p.run()
 		}
 	}
-	e.At(e.now, p.wakeFn)
+	e.arm(&p.wake, e.now)
 	return p
 }
 
@@ -79,7 +80,10 @@ func (p *Proc) yield() { p.yieldFn(struct{}{}) }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Time) {
-	p.eng.After(d, p.wakeFn)
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d)) //crasvet:allow hotalloc -- formats only on the way to a misuse panic; a clean cycle never evaluates it
+	}
+	p.eng.arm(&p.wake, p.eng.now+d)
 	p.yield()
 }
 
@@ -87,7 +91,7 @@ func (p *Proc) Sleep(d Time) {
 // the past it panics, except that t == now is a simple yield to other work
 // scheduled for this instant.
 func (p *Proc) SleepUntil(t Time) {
-	p.eng.At(t, p.wakeFn)
+	p.eng.arm(&p.wake, t)
 	p.yield()
 }
 
@@ -120,7 +124,7 @@ func (p *Proc) Unblock() {
 		return
 	}
 	p.blockedReason = ""
-	p.eng.At(p.eng.now, p.wakeFn)
+	p.eng.arm(&p.wake, p.eng.now)
 }
 
 // BlockedReason returns the reason string passed to Block if the process is

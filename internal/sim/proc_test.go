@@ -340,3 +340,60 @@ func TestManyProcsNoGoroutineDeadlock(t *testing.T) {
 		t.Fatalf("completed %d procs, want 200", total)
 	}
 }
+
+// TestProcWakeAllocs pins the process-owned wake timer: once the calendar
+// has grown to its working size, a Sleep/Block/Unblock ping-pong between
+// two processes schedules every wake-up without allocating.
+func TestProcWakeAllocs(t *testing.T) {
+	e := NewEngine(1)
+	var a, b *Proc
+	a = e.Spawn("a", func(p *Proc) {
+		for {
+			p.Sleep(ms(1))
+			b.Unblock()
+			p.Block("wait:b")
+		}
+	})
+	b = e.Spawn("b", func(p *Proc) {
+		for {
+			p.Block("wait:a")
+			p.SleepUntil(e.Now() + ms(1))
+			a.Unblock()
+		}
+	})
+	e.RunFor(ms(10)) // warm: both coroutines started, calendar grown
+	if allocs := testing.AllocsPerRun(100, func() { e.RunFor(ms(10)) }); allocs != 0 {
+		t.Errorf("Sleep/Block/Unblock ping-pong: %v allocs per 10 ms, want 0", allocs)
+	}
+	if a.Dead() || b.Dead() || e.PendingEvents() != 1 {
+		t.Errorf("after ping-pong: dead a=%v b=%v, %d pending events, want live and 1",
+			a.Dead(), b.Dead(), e.PendingEvents())
+	}
+}
+
+// TestProcWakeKeepsSchedulingOrder: re-arming a process's own wake timer
+// draws its sequence number when the wake-up is scheduled, so a wake-up and
+// plain events at the same instant still fire first-scheduled first.
+func TestProcWakeKeepsSchedulingOrder(t *testing.T) {
+	e := NewEngine(1)
+	var trace []string
+	e.At(ms(5), func() { trace = append(trace, "early") })
+	p := e.Spawn("p", func(p *Proc) {
+		p.Sleep(ms(5)) // scheduled after "early", before "late"
+		trace = append(trace, "sleep")
+		p.Block("wait")
+		trace = append(trace, "unblock")
+		p.SleepUntil(e.Now())
+		trace = append(trace, "yield")
+	})
+	e.At(ms(0), func() { e.At(ms(5), func() { trace = append(trace, "late") }) })
+	e.At(ms(7), func() {
+		p.Unblock()
+		e.At(ms(7), func() { trace = append(trace, "after-unblock") })
+	})
+	e.Run()
+	want := "early sleep late unblock after-unblock yield"
+	if got := strings.Join(trace, " "); got != want {
+		t.Errorf("trace %q, want %q", got, want)
+	}
+}

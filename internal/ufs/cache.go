@@ -14,9 +14,20 @@ type cacheEntry struct {
 	data    []byte
 	dirty   bool
 	pending bool // a read is in flight filling this entry
+	// waiters holds processes waiting out the read in flight. It is made
+	// by the first lookup that has to wait: most entries never get one.
 	waiters *sim.Waiter
 
 	prev, next *cacheEntry // LRU links; nil while the entry is not resident
+}
+
+// settle ends the entry's read in flight, filled or failed, and wakes
+// whoever waited on it.
+func (e *cacheEntry) settle() {
+	e.pending = false
+	if e.waiters != nil {
+		e.waiters.WakeAll()
+	}
 }
 
 // Cache is a write-back LRU buffer cache over file-system blocks. All
@@ -104,6 +115,9 @@ func (c *Cache) touch(e *cacheEntry) {
 func (c *Cache) lookup(p *sim.Proc, blk int64) *cacheEntry {
 	for e, ok := c.entries[blk]; ok; e, ok = c.entries[blk] {
 		for e.pending {
+			if e.waiters == nil {
+				e.waiters = sim.NewWaiter(fmt.Sprintf("cache:%d", e.blk))
+			}
 			e.waiters.Wait(p)
 		}
 		if e.data != nil {
@@ -124,12 +138,11 @@ func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 	}
 	c.Misses++
 	c.evictFor(p, 1)
-	e := &cacheEntry{blk: blk, pending: true, waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk))}
+	e := &cacheEntry{blk: blk, pending: true}
 	c.insert(e)
 	data := c.dsk.ReadSync(p, blk*SectorsPerBlock, SectorsPerBlock, false)
 	e.data = data
-	e.pending = false
-	e.waiters.WakeAll()
+	e.settle()
 	return e.data
 }
 
@@ -142,7 +155,7 @@ func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
 		return e.data
 	}
 	c.evictFor(p, 1)
-	e := &cacheEntry{blk: blk, data: make([]byte, BlockSize), waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk))}
+	e := &cacheEntry{blk: blk, data: make([]byte, BlockSize)}
 	c.insert(e)
 	return e.data
 }
@@ -204,7 +217,7 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 	}
 	entries := make([]*cacheEntry, count)
 	for i := 0; i < count; i++ {
-		e := &cacheEntry{blk: blk + int64(i), pending: true, waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk+int64(i)))}
+		e := &cacheEntry{blk: blk + int64(i), pending: true}
 		c.insert(e)
 		entries[i] = e
 	}
@@ -224,8 +237,7 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 				} else {
 					e.data = buf[i*BlockSize : (i+1)*BlockSize : (i+1)*BlockSize]
 				}
-				e.pending = false
-				e.waiters.WakeAll()
+				e.settle()
 			}
 		},
 	})

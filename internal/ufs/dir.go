@@ -33,11 +33,16 @@ func (e *dirEnt) encode(buf []byte) {
 func (e *dirEnt) decode(buf []byte) {
 	e.ino = leUint32(buf[0:])
 	e.ftype = buf[4]
-	n := int(buf[5])
+	e.name = string(entName(buf))
+}
+
+// entName is the name bytes of the raw directory record rec, in place.
+func entName(rec []byte) []byte {
+	n := int(rec[5])
 	if n > maxNameLen {
 		n = maxNameLen
 	}
-	e.name = string(buf[6 : 6+n])
+	return rec[6 : 6+n]
 }
 
 // DirEntry is a name/inode pair returned by ReadDir.
@@ -47,33 +52,70 @@ type DirEntry struct {
 	IsDir bool
 }
 
+// takeDirBuf lends the caller an n-byte directory read buffer: the file
+// system's own when it is free, a fresh one when another process holds it
+// (blocked in its directory read). putDirBuf gives it back.
+func (fs *FileSystem) takeDirBuf(n int64) []byte {
+	b := fs.dirBuf
+	fs.dirBuf = nil
+	if int64(cap(b)) < n {
+		b = make([]byte, n)
+	}
+	return b[:n]
+}
+
+// putDirBuf returns a buffer from takeDirBuf, keeping the larger of it and
+// whichever buffer the file system holds now.
+func (fs *FileSystem) putDirBuf(b []byte) {
+	if cap(b) > cap(fs.dirBuf) {
+		fs.dirBuf = b
+	}
+}
+
+// readDir reads every record of a directory inode into a buffer from
+// takeDirBuf, which the caller gives back with putDirBuf. Bytes past a
+// short read are zeroed — free slots, as in a fresh buffer — so stale bytes
+// of an earlier lookup never read as entries.
+func (fs *FileSystem) readDir(p *sim.Proc, dirIno uint32) ([]byte, error) {
+	f := fs.handle(dirIno)
+	raw := fs.takeDirBuf(f.Size(p))
+	n, err := f.ReadAt(p, raw, 0)
+	if err != nil {
+		fs.putDirBuf(raw)
+		return nil, err
+	}
+	clear(raw[n:])
+	return raw, nil
+}
+
 // readDirEnts scans every entry of a directory inode.
 func (fs *FileSystem) readDirEnts(p *sim.Proc, dirIno uint32) ([]dirEnt, error) {
-	f := fs.openByIno(dirIno)
-	size := f.Size(p)
-	raw := make([]byte, size)
-	if _, err := f.ReadAt(p, raw, 0); err != nil {
+	raw, err := fs.readDir(p, dirIno)
+	if err != nil {
 		return nil, err
 	}
 	var out []dirEnt
-	for off := int64(0); off+dirEntSize <= size; off += dirEntSize {
+	for off := 0; off+dirEntSize <= len(raw); off += dirEntSize {
 		var e dirEnt
 		e.decode(raw[off : off+dirEntSize])
 		out = append(out, e)
 	}
+	fs.putDirBuf(raw)
 	return out, nil
 }
 
 // dirLookup finds name in the directory, returning its entry index and
-// inode.
+// inode. It compares names in the raw records, building no strings.
 func (fs *FileSystem) dirLookup(p *sim.Proc, dirIno uint32, name string) (idx int, ino uint32, err error) {
-	ents, err := fs.readDirEnts(p, dirIno)
+	raw, err := fs.readDir(p, dirIno)
 	if err != nil {
 		return 0, 0, err
 	}
-	for i, e := range ents {
-		if e.ino != 0 && e.name == name {
-			return i, e.ino, nil
+	defer fs.putDirBuf(raw)
+	for off := 0; off+dirEntSize <= len(raw); off += dirEntSize {
+		rec := raw[off : off+dirEntSize]
+		if ino := leUint32(rec); ino != 0 && string(entName(rec)) == name {
+			return off / dirEntSize, ino, nil
 		}
 	}
 	return 0, 0, ErrNotFound
@@ -84,17 +126,18 @@ func (fs *FileSystem) dirAdd(p *sim.Proc, dirIno uint32, name string, ino uint32
 	if len(name) == 0 || len(name) > maxNameLen || strings.Contains(name, "/") {
 		return ErrNameTooLong
 	}
-	ents, err := fs.readDirEnts(p, dirIno)
+	raw, err := fs.readDir(p, dirIno)
 	if err != nil {
 		return err
 	}
-	slot := int64(len(ents))
-	for i, e := range ents {
-		if e.ino == 0 {
-			slot = int64(i)
+	slot := int64(len(raw) / dirEntSize)
+	for off := 0; off+dirEntSize <= len(raw); off += dirEntSize {
+		if leUint32(raw[off:]) == 0 {
+			slot = int64(off / dirEntSize)
 			break
 		}
 	}
+	fs.putDirBuf(raw)
 	buf := make([]byte, dirEntSize)
 	(&dirEnt{ino: ino, ftype: ftype, name: name}).encode(buf)
 	f := fs.openByIno(dirIno)

@@ -22,7 +22,14 @@ func (f *File) Size(p *sim.Proc) int64 { return f.fs.getInode(p, f.ino).Size }
 
 // openByIno returns a handle on an existing inode.
 func (fs *FileSystem) openByIno(ino uint32) *File {
-	return &File{fs: fs, ino: ino, lastFBN: -2, raCluster: -1}
+	f := fs.handle(ino)
+	return &f
+}
+
+// handle is a fresh handle on an inode, by value, for callers that keep it
+// no longer than one call.
+func (fs *FileSystem) handle(ino uint32) File {
+	return File{fs: fs, ino: ino, lastFBN: -2, raCluster: -1}
 }
 
 // allocGoalFor returns the allocator goal for file block fbn: right after

@@ -35,6 +35,10 @@ type FileSystem struct {
 	dirtyInodes map[uint32]bool
 
 	lastAllocGroup int
+
+	// dirBuf is the directory read buffer lookups borrow (takeDirBuf); nil
+	// while one holds it.
+	dirBuf []byte
 }
 
 // Mount reads the superblock (with disk timing, from the calling process)
