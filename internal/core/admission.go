@@ -26,7 +26,7 @@ type AdmissionParams struct {
 // in A_i = T*R_i + C_i).
 //
 // A cache-backed stream (a follower served from the interval cache, see
-// icache.go) is charged differently: it performs no disk operations — it
+// share.go) is charged differently: it performs no disk operations — it
 // contributes nothing to R_total, C_total or the per-operation overheads of
 // RequiredInterval — and its buffer charge is CacheBytes, the pinned
 // interval between it and its leader (gap × rate), instead of the
@@ -46,7 +46,7 @@ type StreamParams struct {
 	Cached     bool  // served from the interval cache, not the disk
 	CacheBytes int64 // pinned-interval charge while Cached
 
-	// A multicast fan-out member (multicast.go) is charged like a cache
+	// A multicast fan-out member (share.go) is charged like a cache
 	// follower but from the group's feed: zero disk operations, and
 	// FanoutBytes — the join lag plus a double-buffer window at its rate —
 	// instead of B_i. FanoutBytes is never smaller than B_i, so a member

@@ -152,7 +152,7 @@ func (s *Server) shedGate(req any) (resp any, action ctlAction) {
 // Drain moves the server into graceful drain (usable from any engine
 // context): new opens are refused with ErrDraining, active streams run
 // down naturally — a closing cache leader hands its followers to the
-// icache promotion path as usual — and whatever is still open when the
+// cache promotion path as usual — and whatever is still open when the
 // grace budget expires is evicted before the old abrupt Shutdown runs. A
 // zero or negative grace is an immediate evict-and-shutdown.
 func (s *Server) Drain(grace sim.Time) {

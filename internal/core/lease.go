@@ -14,7 +14,7 @@ import (
 // same eviction path the degradation ladder uses, so a dead client's
 // admission capacity, buffer memory and cache pins are all reclaimed within
 // LeaseTTL of its last sign of life. Reaping a cache leader hands its
-// followers to the icache promotion path like any other leader close.
+// followers to the cache promotion path like any other leader close.
 //
 // Next to the lease there is a fast path: the per-session client port. Its
 // destruction (the client died and the kernel cleaned up its ports) delivers

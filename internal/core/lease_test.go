@@ -101,7 +101,7 @@ func TestConsumingClientNeverReaped(t *testing.T) {
 }
 
 // Reaping a cache leader is a leader close like any other: its follower is
-// promoted through the icache path and keeps playing.
+// promoted through the cache promotion path and keeps playing.
 func TestReapedLeaderPromotesFollower(t *testing.T) {
 	movie := media.MPEG1().Generate("/m1", 20*time.Second)
 	newBed(t, 1, ufs.Options{}, Config{BufferBudget: 32 << 20, CacheBudget: 8 << 20},

@@ -97,66 +97,51 @@ func propPlay(b *bed, th *rtm.Thread, v *propViewer, frames int) {
 	v.done = true
 }
 
-// checkMcastInvariants sweeps the server's multicast state: group
-// structure, reservation and pin accounting, budget bound, and prefix
-// contiguity. Runs between operations, i.e. at arbitrary points of the
-// cycle grid — the invariants hold at every edge, so they hold here too.
+// checkMcastInvariants sweeps the server's multicast state: the share
+// ledger, group structure, and prefix contiguity. Runs between operations,
+// i.e. at arbitrary points of the cycle grid — the invariants hold at every
+// edge, so they hold here too.
 func checkMcastInvariants(t *testing.T, b *bed, seed int64, seq, op int) {
 	s := b.cras
 	fail := func(format string, args ...interface{}) {
 		t.Errorf("seed %d seq %d op %d: "+format, append([]interface{}{seed, seq, op}, args...)...)
 	}
+	if !checkShareLedger(t, s) {
+		fail("share ledger drifted (see above)")
+	}
 
-	var fanout int64
 	members := 0
 	for _, st := range s.streams {
-		if st.closed {
-			if st.mcastMember || st.mg != nil {
-				fail("closed stream %d still linked to a group", st.id)
-			}
+		if st.closed || !st.consumes(fanShare) {
 			continue
 		}
-		if st.mcastMember {
-			members++
-			fanout += st.mcastCharge
-			if st.mg == nil {
-				fail("member %d has no group", st.id)
-			}
-			if st.stats.ReadsIssued != 0 {
-				fail("member %d issued %d disk reads (one feed per group)", st.id, st.stats.ReadsIssued)
-			}
-			if !st.par.Multicast || st.par.FanoutBytes != st.mcastCharge {
-				fail("member %d admission params out of step: Multicast=%v FanoutBytes=%d charge=%d",
-					st.id, st.par.Multicast, st.par.FanoutBytes, st.mcastCharge)
-			}
-		} else if st.mcastCharge != 0 {
-			fail("non-member %d holds a fan-out charge of %d", st.id, st.mcastCharge)
+		members++
+		if st.stats.ReadsIssued != 0 {
+			fail("member %d issued %d disk reads (one feed per group)", st.id, st.stats.ReadsIssued)
 		}
-	}
-	if fanout != s.mcast.fanout {
-		fail("fan-out accounting drifted: committed %d, sum of member charges %d", s.mcast.fanout, fanout)
 	}
 
 	groupMembers := 0
-	for _, g := range s.mcast.groups {
-		if g.feed != nil {
-			if g.feed.mcastMember {
-				fail("group %s feed %d is itself a member", g.path, g.feed.id)
+	for _, g := range s.pools[fanShare].shares {
+		feed := g.producer
+		if feed != nil {
+			if feed.src != nil {
+				fail("group %s feed %d is itself a consumer", g.path, feed.id)
 			}
-			if g.feed.mg != g {
-				fail("group %s feed %d not linked back", g.path, g.feed.id)
+			if feed.prod[fanShare] != g {
+				fail("group %s feed %d not linked back", g.path, feed.id)
 			}
 		}
-		for _, m := range g.members {
+		for _, m := range g.consumers {
 			groupMembers++
-			if !m.mcastMember || m.mg != g {
+			if m.src != g {
 				fail("group %s lists stream %d which is not its member", g.path, m.id)
 			}
-			if g.feed != nil && m.nextStamp > g.feed.nextStamp {
-				fail("member %d stamped past its feed: %d > %d", m.id, m.nextStamp, g.feed.nextStamp)
+			if feed != nil && m.nextStamp > feed.nextStamp {
+				fail("member %d stamped past its feed: %d > %d", m.id, m.nextStamp, feed.nextStamp)
 			}
 		}
-		if g.feed == nil && len(g.members) == 0 {
+		if feed == nil && len(g.consumers) == 0 {
 			fail("empty group %s not dissolved", g.path)
 		}
 	}
@@ -164,8 +149,7 @@ func checkMcastInvariants(t *testing.T, b *bed, seed int64, seq, op int) {
 		fail("membership drifted: %d streams claim membership, groups list %d", members, groupMembers)
 	}
 
-	var pinned int64
-	for _, pp := range s.mcast.prefixes {
+	for _, pp := range s.prefixes {
 		var bytes int64
 		for i, c := range pp.pins {
 			if c.Index != i {
@@ -176,13 +160,6 @@ func checkMcastInvariants(t *testing.T, b *bed, seed int64, seq, op int) {
 		if bytes != pp.bytes {
 			fail("prefix %s byte count drifted: %d recorded, %d summed", pp.path, pp.bytes, bytes)
 		}
-		pinned += bytes
-	}
-	if pinned != s.mcast.pinned {
-		fail("pin accounting drifted: committed %d, sum over titles %d", s.mcast.pinned, pinned)
-	}
-	if s.mcast.fanout+s.mcast.pinned > s.mcast.budget {
-		fail("budget exceeded: fanout %d + pinned %d > %d", s.mcast.fanout, s.mcast.pinned, s.mcast.budget)
 	}
 }
 
@@ -225,11 +202,11 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 						break // admission refusal is a legitimate outcome
 					}
 					feedID, feedNS := -1, -1
-					if h.st.mg != nil && h.st.mg.feed != nil {
-						feedID, feedNS = h.st.mg.feed.id, h.st.mg.feed.nextStamp
+					if h.st.src != nil && h.st.src.producer != nil {
+						feedID, feedNS = h.st.src.producer.id, h.st.src.producer.nextStamp
 					}
 					t.Logf("op %d @%v: open viewer %d (stream %d, member=%v feed=%d feedNS=%d ns=%d fromPrefix=%d fromGroup=%d)",
-						op, b.k.Now(), len(viewers), h.st.id, h.st.mcastMember, feedID, feedNS, h.st.nextStamp,
+						op, b.k.Now(), len(viewers), h.st.id, h.MulticastMember(), feedID, feedNS, h.st.nextStamp,
 						h.st.stats.ChunksFromPrefix, h.st.stats.ChunksFromGroup)
 					h.Start(th)
 					v := &propViewer{h: h}
@@ -241,13 +218,13 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 					v := live[rng.Intn(len(live))]
 					v.stop = true
 					v.excused = true
-					t.Logf("op %d @%v: seek viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.st.mcastMember, v.h.st.mg != nil && v.h.st.mg.feed == v.h.st)
+					t.Logf("op %d @%v: seek viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.MulticastMember(), v.h.st.prod[fanShare] != nil)
 					v.h.Seek(th, time.Duration(rng.Intn(8))*time.Second)
 				case k < 9 && len(live) > 0: // crash: the recovery eviction path
 					v := live[rng.Intn(len(live))]
 					v.stop = true
 					v.excused = true
-					t.Logf("op %d @%v: crash viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.st.mcastMember, v.h.st.mg != nil && v.h.st.mg.feed == v.h.st)
+					t.Logf("op %d @%v: crash viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.MulticastMember(), v.h.st.prod[fanShare] != nil)
 					b.cras.evict(v.h.st, "property-suite crash")
 				default: // close a viewer whose player already finished
 					for _, v := range live {
@@ -259,7 +236,7 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 				}
 				th.Sleep(time.Duration(150+rng.Intn(300)) * time.Millisecond)
 				checkMcastInvariants(t, b, seed, seq, op)
-				if p := b.cras.mcast.pinned; p < prefixPinned {
+				if p := b.cras.pools[fanShare].pinned; p < prefixPinned {
 					t.Errorf("seed %d seq %d op %d: prefix pins shrank %d -> %d (never evicted)",
 						seed, seq, op, prefixPinned, p)
 				} else {
@@ -279,10 +256,10 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 				}
 			}
 			checkMcastInvariants(t, b, seed, seq, 999)
-			if got := b.cras.mcast.fanout; got != 0 {
+			if got := b.cras.pools[fanShare].committed; got != 0 {
 				t.Errorf("seed %d seq %d: fan-out reservation leaked after all closes: %d", seed, seq, got)
 			}
-			if n := len(b.cras.mcast.groups); n != 0 {
+			if n := len(b.cras.pools[fanShare].shares); n != 0 {
 				t.Errorf("seed %d seq %d: %d groups survive with every session closed", seed, seq, n)
 			}
 

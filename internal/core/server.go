@@ -28,12 +28,12 @@ type Config struct {
 	MaxRead      int      // largest single disk read; default 256 KB
 	InitialDelay sim.Time // default 2*Interval (the paper's 1 s at T=0.5 s)
 
-	// CacheBudget enables the interval cache (icache.go): bytes of pinned
+	// CacheBudget enables the interval cache (share.go): bytes of pinned
 	// leader chunks the server may hold to serve trailing streams of the
 	// same path from RAM. 0 (the default) disables caching entirely.
 	CacheBudget int64
 
-	// Multicast batching + pinned prefix cache (multicast.go), the third
+	// Multicast batching + pinned prefix cache (share.go), the third
 	// resource class: playback opens for the same path arriving within
 	// BatchWindow of an earlier one coalesce into one multicast group fed
 	// by a single set of disk ops, and a popularity tracker pins the first
@@ -210,7 +210,7 @@ type Stats struct {
 	StreamsEvicted     int   // ladder transitions into Evicted (sheds included)
 	ShedEvictions      int   // evictions forced by server-wide load shedding
 
-	// Interval-cache activity (icache.go).
+	// Interval-cache activity (share.go).
 	CacheAttached    int   // streams opened as cache-backed followers
 	CacheHits        int64 // chunks stamped from the cache instead of disk
 	CacheMisses      int64 // cache lookups that failed and forced a fallback
@@ -221,7 +221,7 @@ type Stats struct {
 	CacheBytesServed int64
 	CachePinnedPeak  int64
 
-	// Multicast batching + pinned prefix (multicast.go).
+	// Multicast batching + pinned prefix (share.go).
 	MulticastGroups     int   // groups formed
 	MulticastAttached   int   // streams opened as fan-out members
 	MulticastFanout     int64 // chunks copied from a feed to its members at the cycle edge
@@ -299,10 +299,13 @@ type Server struct {
 	nextID  int         //crasvet:confined
 	doneQ   []*readFrag //crasvet:confined
 	// submitted fragments awaiting completion (watchdog scan set)
-	inflight []*readFrag    //crasvet:confined
-	cycle    int            //crasvet:confined
-	icache   intervalCache  //crasvet:confined
-	mcast    multicastState //crasvet:confined
+	inflight []*readFrag //crasvet:confined
+	cycle    int         //crasvet:confined
+	// Sharing (share.go): one ledger pool per kind, the popularity
+	// tracker and the titles' pinned prefixes.
+	pools    [2]sharePool //crasvet:confined
+	pop      []popEntry   //crasvet:confined
+	prefixes []*prefixPin //crasvet:confined
 
 	// Member-death state machine (member.go); members is non-nil only over
 	// a parity volume. rebuildQ is fed by the I/O-done manager and drained
@@ -412,8 +415,7 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 	}
 	s := &Server{
 		k: k, vol: vol, cfg: cfg, resolver: resolver,
-		icache:       intervalCache{budget: cfg.CacheBudget},
-		mcast:        multicastState{budget: cfg.PrefixBudget},
+		pools:        [2]sharePool{pinShare: {budget: cfg.CacheBudget}, fanShare: {budget: cfg.PrefixBudget}},
 		reqPort:      k.NewBoundedPort("cras.request", cfg.RequestQueueCap),
 		iodonePort:   k.NewPort("cras.iodone"),
 		deadlinePort: k.NewPort("cras.deadline"),
@@ -591,7 +593,7 @@ const FixedFootprint = 250 << 10
 //
 //crasvet:snapshot
 func (s *Server) MemoryFootprint() int64 {
-	total := int64(FixedFootprint) + s.icache.bytes + s.mcast.pinned
+	total := int64(FixedFootprint) + s.pools[pinShare].pinned + s.pools[fanShare].pinned
 	for _, st := range s.streams {
 		if !st.closed {
 			total += st.buf.Capacity()
@@ -754,27 +756,27 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		if st.rev != nil {
 			s.absorbReverse(st, now)
 		} else {
-			st.absorbCompletions(now, s.mcastStampFloor(st, now))
+			st.absorbCompletions(now, s.stampFloor(st, now))
 		}
-		if st.cached {
+		if st.consumes(pinShare) {
 			// The open order guarantees the leader was processed earlier in
 			// this loop, so chunks it discarded this cycle are already pinned.
-			s.cacheStamp(st, now)
+			s.pinStamp(st, now)
 		}
 		stamped += st.stats.ChunksStamped - before
-		if st.mg != nil && st.mg.feed == st {
+		if sh := st.prod[fanShare]; sh != nil {
 			// Fan the feed's freshly stamped chunks out to its members at this
 			// same edge; the members' own loop iterations (they open later, so
 			// they come later in stream order) have nothing left to stamp.
-			stamped += s.mcastFeedStep(st, now)
+			stamped += s.fanStep(sh, now)
 		}
-		if st.ppin != nil && !st.record && !st.mcastMember {
+		if st.ppin != nil && !st.record && !st.consumes(fanShare) {
 			// Pin prefix chunks before the discard below can drop them.
 			s.prefixAdvance(st, now)
 		}
 		horizon := st.clock.At(now) - st.buf.Jitter()
-		if st.pc != nil && st.pc.leader == st {
-			s.cachePinDiscard(st, horizon, now)
+		if sh := st.prod[pinShare]; sh != nil {
+			s.pinDiscard(sh, horizon, now)
 		} else {
 			st.buf.DiscardBefore(horizon)
 		}
@@ -800,13 +802,13 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		if st.closed || st.paused || st.health >= Suspended {
 			continue
 		}
-		if st.mcastMember && s.mcastFeedGone(st) {
+		if st.consumes(fanShare) {
+			if !st.src.gone() {
+				continue // the feed's disk ops cover the whole group
+			}
 			// The feed stopped producing: fall back to disk now, so the reads
 			// join this same cycle's batch and the switch costs one interval.
-			s.mcastFallback(st, now, "feed stopped producing")
-		}
-		if st.mcastMember {
-			continue // the feed's disk ops cover the whole group
+			s.shareFallback(st, now, "feed stopped producing")
 		}
 		horizon := st.clock.At(horizonAt) + st.lead
 		if st.record {
@@ -814,7 +816,7 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			horizon = st.clock.At(now)
 		}
 		issued := 0
-		if st.cached {
+		if st.consumes(pinShare) {
 			// The disk fetches only the warm-up prefix the cache cannot
 			// supply; the rest of the horizon advances through the cache.
 			diskH := st.cacheFromTs()
@@ -824,9 +826,9 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			warm := st.fetchTargets(diskH)
 			issued += len(warm)
 			batch = append(batch, warm...) //crasvet:allow hotalloc -- append into per-cycle scratch; capacity retained across cycles
-			s.cacheAdvance(st, horizon)
+			s.pinAdvance(st, now, horizon)
 		}
-		if !st.cached {
+		if !st.consumes(pinShare) {
 			// Plain stream — or a follower that fell back mid-advance, whose
 			// reads must join this same cycle's batch so the switch to disk
 			// costs at most one interval.
@@ -1119,6 +1121,13 @@ func (s *Server) admit(set []StreamParams) error {
 	return s.cfg.Params.AdmitShape(s.cfg.Interval, s.ramBudget(), s.volShape(), set)
 }
 
+// ramBudget is the admission test's memory bound: the stream buffer budget
+// plus both sharing pools', since TotalBuffer charges consumers their share
+// charge against the same RAM.
+func (s *Server) ramBudget() int64 {
+	return s.cfg.BufferBudget + s.cfg.CacheBudget + s.cfg.PrefixBudget
+}
+
 // admissionSet returns the StreamParams of all open streams plus extras.
 // The set lives in the server's scratch slice (admitScratch): it is valid
 // until the next admissionSet or readmitSet call.
@@ -1146,8 +1155,7 @@ func (s *Server) handleRequest(t *rtm.Thread, req any) any {
 		}
 		st.closed = true
 		st.gen++
-		s.cacheOnClose(st, now)
-		s.mcastOnClose(st, now)
+		s.shareOnClose(st, now)
 		if st.clientPort != nil {
 			// An orderly close needs no dead-name notification.
 			st.clientPort.NotifyDeadName(nil)
@@ -1219,43 +1227,23 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 		Chunk: maxChunkSize(r.info),
 	}
 	par = s.volParams(par)
-	// Multicast batching: a playback open on a path a batchable stream is
-	// already playing rides that stream's fan-out group, charging fan-out
-	// RAM against the prefix budget and zero disk time — provided the
-	// reservation fits beside the pinned prefixes. Every playback open
-	// also feeds the popularity tracker that qualifies prefixes.
-	var feed *stream
-	var fanCharge int64
-	if s.mcastEnabled() && !r.record {
+	// Sharing (share.go): a playback open on a path another stream is
+	// already playing rides it, charging RAM instead of disk time — as a
+	// fan-out member if a group will take it, else as a cache follower.
+	// Every playback open also feeds the popularity tracker that qualifies
+	// prefixes.
+	var seat shareOffer
+	if s.shareEnabled(fanShare) && !r.record {
 		// The half-open tolerance absorbs the decay an instant of age already
 		// applies: the Nth open inside the popularity window counts N-epsilon
 		// decayed opens, and it is the Nth open that should qualify.
 		if s.popNote(r.path, now)+0.5 >= float64(s.cfg.PrefixMinOpens) {
 			s.prefixQualify(r.path)
 		}
-		feed = s.mcastCandidate(r, now)
-		if feed != nil {
-			// A reopen at a later stamp point trails the feed by that much
-			// less; a non-positive gap means the opener would run ahead of
-			// the feed, which the fan-out cannot supply.
-			gap := s.mcastGap(feed, now) - r.at
-			fanCharge = s.mcastFanoutCharge(gap, par)
-			if gap <= 0 || s.mcast.fanout+s.mcast.pinned+fanCharge > s.mcast.budget || s.mcastGap(feed, now) >= r.info.TotalDuration() {
-				s.stats.MulticastRefused++
-				feed = nil
-			} else {
-				par.Multicast = true
-				par.FanoutBytes = fanCharge
-			}
-		}
+		seat, par = s.offerShare(fanShare, r, now, par)
 	}
-	// Interval cache: a playback open on a path an active stream is already
-	// playing can follow that stream, charging pinned RAM instead of disk
-	// time — provided the steady-state pin reservation fits the budget.
-	var leader *stream
-	var reservation int64
-	if feed == nil {
-		leader, reservation, par = s.cachePlan(r, now, par)
+	if seat.p == nil {
+		seat, par = s.offerShare(pinShare, r, now, par)
 	}
 	if !r.force {
 		for {
@@ -1263,29 +1251,23 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 			if err == nil {
 				break
 			}
-			if par.Multicast {
-				// A member whose fan-out charge does not fit may still be
-				// admissible as a cache follower or a plain disk stream —
-				// the same one-way ladder the running server walks.
-				par.Multicast = false
-				par.FanoutBytes = 0
-				feed = nil
-				s.stats.MulticastRefused++
-				leader, reservation, par = s.cachePlan(r, now, par)
-				continue
-			}
-			if par.Cached {
-				// A follower whose pinned-interval charge does not fit may
-				// still be admissible as a plain disk stream (B_i is never
-				// larger than the cache charge, but adds disk time).
-				par.Cached = false
-				par.CacheBytes = 0
-				leader = nil
+			if seat.p != nil {
+				// A consumer whose charge does not fit may still be admissible
+				// one rung down — a member as a cache follower, a follower as
+				// a plain disk stream (B_i is never larger than either charge,
+				// but adds disk time): the one-way ladder the server walks.
+				par.Cached, par.CacheBytes, par.Multicast, par.FanoutBytes = false, 0, false, 0
+				kind := seat.kind
+				seat = shareOffer{}
+				if kind == fanShare {
+					s.stats.MulticastRefused++
+					seat, par = s.offerShare(pinShare, r, now, par)
+				}
 				continue
 			}
 			// A non-cacheable stream refused for buffer memory reclaims
 			// pinned RAM: evict the largest-interval path cache and retry.
-			if ae, ok := err.(*AdmissionError); ok && ae.NeedBuffer > ae.Budget && s.cacheEvictLargest(now) {
+			if ae, ok := err.(*AdmissionError); ok && ae.NeedBuffer > ae.Budget && s.pinEvictLargest(now) {
 				continue
 			}
 			// Reduced-rate warm-up (vcr.go): walk the frame-rate ladder
@@ -1366,10 +1348,8 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 		st.clock.Seek(now, r.at)
 	}
 	st.openedAt = now
-	if feed != nil {
-		s.mcastAttach(st, feed, fanCharge, now)
-	} else if leader != nil {
-		s.cacheAttach(st, leader, reservation, now)
+	if seat.p != nil {
+		s.shareAttach(st, seat, now)
 	}
 	if !r.record {
 		st.ppin = s.prefixFor(r.path)

@@ -75,27 +75,18 @@ type stream struct {
 	// chunks overlapping them are dropped rather than stamped.
 	failedRanges [][2]int64
 
-	// Interval-cache state (see icache.go). A cache-backed follower fetches
-	// nothing from disk past cacheFrom while the leader's buffer and the
-	// pinned interval cover its horizon; cached turns false forever once the
-	// stream falls back to disk. pc is set while the stream participates in
-	// a path cache, as leader or follower.
-	cached         bool
-	pc             *pathCache
-	cacheFrom      int   // first chunk index the cache can supply
-	cachePinCharge int64 // pin-byte reservation held against the cache budget
-
-	// Multicast-batching state (see multicast.go). A fan-out member fetches
-	// nothing from disk while its group's feed copies every chunk it stamps
-	// into the member's buffer at the cycle edge; mcastMember turns false
-	// forever once the member falls back to disk or is promoted to feed. mg
-	// is set while the stream participates in a group, as feed or member.
+	// Sharing state (see share.go). src is the share the stream consumes
+	// from (nil while it fetches from disk) and charge its reservation in
+	// that kind's pool; prod holds the shares it produces for, one per kind —
+	// a feed may lead a path cache too. cacheFrom is the first chunk a pin
+	// share supplies; a follower fetches the chunks before it from disk.
 	// ppin is the producer-side hook growing the title's pinned prefix;
 	// openedAt anchors the batching window.
-	mg          *mcastGroup
-	mcastMember bool
-	mcastCharge int64 // fan-out reservation held against the prefix budget
-	prefixStart bool  // playback head was backfilled from prefix pins
+	src         *share
+	charge      int64
+	prod        [2]*share
+	cacheFrom   int
+	prefixStart bool // playback head was backfilled from prefix pins
 	ppin        *prefixPin
 	openedAt    sim.Time
 
@@ -195,9 +186,6 @@ func (f *readFrag) bytes() int64 { return int64(f.sectors) * 512 }
 // time and clears buffered data; in-flight reads are invalidated by the
 // generation bump.
 func (s *stream) seekTo(logical sim.Time) {
-	s.gen++
-	s.pending = s.pending[:0]
-	s.failedRanges = nil
 	s.skipped = s.skipped[:0]
 	s.buf.Reset()
 	idx := s.info.ChunkAt(logical)
@@ -208,14 +196,13 @@ func (s *stream) seekTo(logical sim.Time) {
 			idx = 0
 		}
 	}
-	s.nextChunk = idx
 	s.nextStamp = idx
-	s.setFetchPoint(idx)
+	s.refetch()
 }
 
 // setFetchPoint positions the byte-fetch machinery at the chunk with the
 // given index, leaving the buffer, clock, generation and stamp pointers
-// alone. Used by seekTo and by the interval cache's disk fallback.
+// alone.
 func (s *stream) setFetchPoint(idx int) {
 	var off int64
 	if idx < len(s.info.Chunks) {
@@ -481,21 +468,11 @@ func (s *stream) absorbCompletions(now, floor sim.Time) {
 			s.nextStamp++
 			continue
 		}
-		if c.Timestamp < logical && !s.record {
-			s.stats.ChunksLate++
-			// A chunk already behind the discard line would be removed the
-			// moment it was inserted; inserting it anyway can transiently
-			// overflow the buffer and push out chunks that are still
-			// needed. Skip it outright.
-			if c.Timestamp+c.Duration <= tdiscard {
-				s.nextStamp++
-				continue
-			}
+		if !s.record && s.late(c, logical, tdiscard) {
+			s.nextStamp++
+			continue
 		}
-		s.buf.Insert(BufferedChunk{
-			Index: s.nextStamp, Timestamp: c.Timestamp, Duration: c.Duration,
-			Size: c.Size, StampedAt: now,
-		})
+		s.buf.Insert(stampedChunk(s.nextStamp, c, now))
 		s.stats.ChunksStamped++
 		s.nextStamp++
 	}
@@ -511,6 +488,24 @@ func (s *stream) absorbCompletions(now, floor sim.Time) {
 	} else {
 		s.failedRanges = nil
 	}
+}
+
+// late applies the late-chunk rule to stamping c: a chunk the clock
+// (logical) has passed counts late, and one already behind the discard line
+// is reported for skipping — it would be removed the moment it was
+// inserted, and inserting it anyway can transiently overflow the buffer
+// and push out chunks that are still needed.
+func (s *stream) late(c media.Chunk, logical, tdiscard sim.Time) bool {
+	if c.Timestamp >= logical {
+		return false
+	}
+	s.stats.ChunksLate++
+	return c.Timestamp+c.Duration <= tdiscard
+}
+
+// stampedChunk is chunk idx of the table as buffered when stamped at now.
+func stampedChunk(idx int, c media.Chunk, now sim.Time) BufferedChunk {
+	return BufferedChunk{Index: idx, Timestamp: c.Timestamp, Duration: c.Duration, Size: c.Size, StampedAt: now}
 }
 
 func (s *stream) overlapsFailed(lo, hi int64) bool {

@@ -71,13 +71,12 @@ func (s *Server) vcrRefusal(op, reason string, cause error) *VCRError {
 // ---- re-admission plumbing ----
 
 // readmitSet is the admission set for re-admitting st at changed terms:
-// every other open stream at its current charge, except participants this
-// operation would strand — the followers of st-as-leader and the members
-// of st-as-feed — which are priced as the plain disk streams the detach
-// will leave them as (matching cacheDetach/mcastDetach exactly), so the
-// test can never pass on charges the detach is about to change. The set
-// ends with st's candidate charge and, like admissionSet's, lives in the
-// server's scratch slice until the next call.
+// every other open stream at its current charge, except the consumers of
+// the shares st produces for, which this operation would strand: they are
+// priced as the plain disk streams the break will leave them as (matching
+// release exactly), so the test can never pass on charges the break is
+// about to change. The set ends with st's candidate charge and, like
+// admissionSet's, lives in the server's scratch slice until the next call.
 func (s *Server) readmitSet(st *stream, cand StreamParams) []StreamParams {
 	set := s.admitScratch[:0]
 	for _, other := range s.streams {
@@ -85,7 +84,7 @@ func (s *Server) readmitSet(st *stream, cand StreamParams) []StreamParams {
 			continue
 		}
 		par := other.par
-		if s.strandedBy(st, other) {
+		if other.src != nil && other.src.producer == st {
 			par = StreamParams{Rate: par.Rate, Chunk: par.Chunk}
 		}
 		set = append(set, par) //crasvet:allow hotalloc -- scratch grows to the peak open-stream count once and is reused from then on
@@ -93,19 +92,6 @@ func (s *Server) readmitSet(st *stream, cand StreamParams) []StreamParams {
 	set = append(set, cand) //crasvet:allow hotalloc -- same reused scratch
 	s.admitScratch = set
 	return set
-}
-
-// strandedBy reports whether a VCR operation on st detaches other: other
-// follows st's path cache with st as leader, or rides st's fan-out group
-// with st as feed.
-func (s *Server) strandedBy(st, other *stream) bool {
-	if st.pc != nil && st.pc.leader == st && other.pc == st.pc && other.cached {
-		return true
-	}
-	if st.mg != nil && st.mg.feed == st && other.mg == st.mg && other.mcastMember {
-		return true
-	}
-	return false
 }
 
 // ---- the delivered-rate ladder ----
@@ -213,7 +199,7 @@ func (s *Server) applyRateShape(st *stream, vel float64) {
 // Stepping down needs no admission test — it strictly reduces load.
 func (s *Server) ladderStepDown(st *stream, now sim.Time) bool {
 	if len(s.cfg.RateLadder) == 0 || st.record || st.paused || st.rev != nil ||
-		st.cached || st.mcastMember || st.par.Cached || st.par.Multicast || st.par.Paused {
+		st.src != nil || st.par.Paused {
 		return false
 	}
 	next, ok := s.ladderBelow(st.dr)
@@ -244,7 +230,7 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 	}
 	for _, st := range s.streams {
 		if st.closed || st.paused || st.record || st.rev != nil ||
-			st.cached || st.mcastMember || st.health != Healthy || st.dr >= 1-1e-9 {
+			st.src != nil || st.health != Healthy || st.dr >= 1-1e-9 {
 			continue
 		}
 		if s.cycle-st.stepCycle < s.cfg.Recovery.RecoverCycles {
@@ -288,19 +274,10 @@ func (s *Server) handlePause(r pauseReq, now sim.Time) opResp {
 		// the rewind head, like a deck coming out of REW.
 		s.exitReverse(st, now)
 	}
-	// A paused clock breaks the temporal overlap cache pairs and fan-out
-	// groups rely on: partners keep advancing while this stream stands
-	// still, so the gap contract is gone the moment the clock freezes.
-	if st.pc != nil && st.pc.leader == st {
-		s.cacheDetachAll(st.pc, "leader paused")
-	} else if st.cached {
-		s.cacheFallback(st, "pause")
-	}
-	if st.mg != nil && st.mg.feed == st {
-		s.mcastBreakup(st.mg, now, "feed paused")
-	} else if st.mcastMember {
-		s.mcastFallback(st, now, "pause")
-	}
+	// A paused clock breaks the temporal overlap shares rely on: partners
+	// keep advancing while this stream stands still, so the gap contract is
+	// gone the moment the clock freezes.
+	s.unshare(st, now, "pause", "leader paused", "feed paused")
 	st.paused = true
 	st.par.Paused = true
 	st.clock.Pause(now)
@@ -366,20 +343,18 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 	}
 	// Fast path: a follower seeking inside its leader's pinned interval
 	// re-validates the gap contract and keeps its pins.
-	if st.cached && !st.paused {
-		if resp, handled := s.cacheSeekRevalidate(st, r.logical, now); handled {
+	if st.consumes(pinShare) && !st.paused {
+		if resp, handled := s.pinSeekRevalidate(st, r.logical, now); handled {
 			return resp
 		}
 	}
 	// Full path. The admission set only changes when the seek detaches
-	// someone — this stream leaving a cache/group, or stranding its
-	// dependents — so that is when re-admission must pass first; a plain
-	// stream's charges are position-independent and its seek (today's
-	// only case) always succeeds, force-opened streams included.
+	// someone — this stream leaving a share, or stranding its consumers —
+	// so that is when re-admission must pass first; a plain stream's
+	// charges are position-independent and its seek always succeeds,
+	// force-opened streams included.
 	plain := StreamParams{Rate: st.par.Rate, Chunk: st.par.Chunk, Paused: st.par.Paused}
-	detaches := st.cached || st.mcastMember || st.par.Cached || st.par.Multicast ||
-		(st.pc != nil && st.pc.leader == st && len(st.pc.followers) > 0) ||
-		(st.mg != nil && st.mg.feed == st && len(st.mg.members) > 0)
+	detaches := st.sharing()
 	if detaches {
 		if err := s.admit(s.readmitSet(st, plain)); err != nil {
 			s.stats.AdmissionRejects++
@@ -387,21 +362,9 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 			return opResp{err: s.vcrRefusal("seek", "re-admission at the new position failed", err)}
 		}
 	}
-	// A seek breaks the temporal overlap the cache relies on: a seeking
-	// follower detaches, a seeking leader strands its followers. The
-	// fan-out contract breaks the same way: a seeking member falls back
-	// to disk through the one-cycle fallback path, a seeking feed breaks
-	// up its group.
-	if st.pc != nil && st.pc.leader == st {
-		s.cacheDetachAll(st.pc, "leader seeked")
-	} else if st.cached {
-		s.cacheFallback(st, "seek")
-	}
-	if st.mg != nil && st.mg.feed == st {
-		s.mcastBreakup(st.mg, now, "feed seeked")
-	} else if st.mcastMember {
-		s.mcastFallback(st, now, "seek")
-	}
+	// A seek breaks the temporal overlap shares rely on: a seeking consumer
+	// falls back to disk, a seeking producer strands its consumers.
+	s.unshare(st, now, "seek", "leader seeked", "feed seeked")
 	if detaches {
 		st.par = plain
 	}
@@ -418,7 +381,7 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 	return opResp{}
 }
 
-// cacheSeekRevalidate is the gap-contract re-validation a follower's seek
+// pinSeekRevalidate is the gap-contract re-validation a follower's seek
 // must pass before reusing its pins — the latent bug class this layer
 // fixes. A seek landing inside the leader's pinned interval changes the
 // follower's gap, and with it the pin bytes the follower will hold in
@@ -431,30 +394,30 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 // the zero-disk service. A target outside the pinned interval (or a
 // reservation that no longer fits) falls through to the full seek path,
 // which detaches honestly. Returns handled=false to request the full path.
-func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) (opResp, bool) {
-	pc := st.pc
-	if pc == nil || pc.leader == st || s.cacheLeaderGone(st) {
+func (s *Server) pinSeekRevalidate(st *stream, target sim.Time, now sim.Time) (opResp, bool) {
+	if st.src.gone() {
 		return opResp{}, false
 	}
-	leader := pc.leader
+	leader := st.src.producer
 	lead := leader.clock.At(now)
-	if target < s.cacheFloor(leader, now) || target >= lead {
+	if target < s.pinFloor(leader, now) || target >= lead {
 		return opResp{}, false // outside the pinned interval
 	}
 	gap := lead - target
-	newRes := s.cachePinReservation(gap, st.par)
-	if s.icache.committed-st.cachePinCharge+newRes > s.icache.budget {
+	newRes := s.pinReservation(gap, st.par)
+	pool := &s.pools[pinShare]
+	if pool.committed-st.charge+newRes > pool.budget {
 		return opResp{}, false // widened interval does not fit the pin budget
 	}
 	par := st.par
-	par.CacheBytes = s.cacheCharge(gap, par)
+	par.CacheBytes = s.shareCharge(gap, par)
 	if s.admit(s.readmitSet(st, par)) != nil {
 		// The re-priced pinned interval does not fit the memory budget;
 		// the full path decides between plain-stream service and refusal.
 		return opResp{}, false
 	}
-	s.icache.committed += newRes - st.cachePinCharge
-	st.cachePinCharge = newRes
+	pool.committed += newRes - st.charge
+	st.charge = newRes
 	st.par = par
 	st.clock.Seek(now, target)
 	st.seekTo(target)
@@ -471,9 +434,9 @@ func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) 
 	// pin-backed seek instead advances the promise pointer and stamps the
 	// resident window synchronously — the data is in memory, which is the
 	// point of keeping the pins.
-	s.cacheAdvance(st, st.clock.At(now+2*s.cfg.Interval)+st.lead)
-	if st.cached {
-		s.cacheStamp(st, now)
+	s.pinAdvance(st, now, st.clock.At(now+2*s.cfg.Interval)+st.lead)
+	if st.consumes(pinShare) {
+		s.pinStamp(st, now)
 	}
 	s.stats.SeekRevalidations++
 	s.k.Engine().Tracef("cras: stream %d seek to %v re-validated gap contract (gap %v, reservation %d)", //crasvet:allow hotalloc -- formats once per revalidated seek, not per cycle
@@ -518,19 +481,9 @@ func (s *Server) handleSetRate(r setRateReq, now sim.Time) opResp {
 		return opResp{err: s.vcrRefusal("setrate",
 			fmt.Sprintf("re-admission at rate %g failed", r.rate), err)} //crasvet:allow hotalloc -- formats once per refused rate change
 	}
-	// A rate change desynchronizes the clocks the cache pairs rely on: a
-	// leader strands its followers, a follower can no longer trail.
-	// Multicast groups desynchronize the same way.
-	if st.pc != nil && st.pc.leader == st {
-		s.cacheDetachAll(st.pc, "leader rate change")
-	} else if st.cached {
-		s.cacheFallback(st, "rate change")
-	}
-	if st.mg != nil && st.mg.feed == st {
-		s.mcastBreakup(st.mg, now, "feed rate change")
-	} else if st.mcastMember {
-		s.mcastFallback(st, now, "rate change")
-	}
+	// A rate change desynchronizes the clocks shares rely on: a producer
+	// strands its consumers, a consumer can no longer trail.
+	s.unshare(st, now, "rate change", "leader rate change", "feed rate change")
 	if r.rate > 0 {
 		fromRev := st.rev != nil
 		if fromRev {

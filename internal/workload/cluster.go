@@ -24,7 +24,16 @@ type ClusterViewerOutcome struct {
 	Frames   int
 	Obtained int
 	Lost     int
+	LostAt   []int // frame indices of lost frames (diagnostics)
 	Done     bool
+}
+
+// lose counts frames [from, to) as lost.
+func (o *ClusterViewerOutcome) lose(from, to int) {
+	for i := from; i < to; i++ {
+		o.LostAt = append(o.LostAt, i)
+	}
+	o.Lost += to - from
 }
 
 // ClusterViewerConfig shapes the cluster arrival pattern.
@@ -80,7 +89,7 @@ func playClusterViewer(c *cluster.Cluster, th *rtm.Thread, s *cluster.Session,
 	out *ClusterViewerOutcome, cfg ClusterViewerConfig) {
 	info := s.Info()
 	if err := s.Start(th); err != nil {
-		out.Lost = out.Frames
+		out.lose(0, out.Frames)
 		s.Close(th)
 		return
 	}
@@ -97,14 +106,14 @@ func playClusterViewer(c *cluster.Cluster, th *rtm.Thread, s *cluster.Session,
 		ch := info.Chunks[i]
 		for {
 			if s.Refused() {
-				out.Lost += frames - i
+				out.lose(i, frames)
 				s.Close(th)
 				return
 			}
 			due := s.ClockStartsAt(ch.Timestamp)
 			now := c.Kernel().Now()
 			if due < 0 {
-				out.Lost++
+				out.lose(i, i+1)
 				th.Sleep(ch.Duration)
 				break
 			}
@@ -121,7 +130,7 @@ func playClusterViewer(c *cluster.Cluster, th *rtm.Thread, s *cluster.Session,
 				break
 			}
 			if now >= due+giveUp {
-				out.Lost++
+				out.lose(i, i+1)
 				break
 			}
 			th.Sleep(2 * time.Millisecond)

@@ -90,7 +90,7 @@ func CrashingViewer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, pat
 					break
 				}
 				if k.Now() >= limit {
-					stats.Lost++
+					stats.lose(i)
 					break
 				}
 				th.Sleep(cfg.Poll)

@@ -237,7 +237,7 @@ func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 				break
 			}
 			if k.Now() >= limit {
-				stats.Lost++
+				stats.lose(i)
 				break
 			}
 			th.Sleep(cfg.Poll)

@@ -123,7 +123,7 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 			}
 			data, err := c.Read(fd, ch.Offset, int(ch.Size))
 			if err != nil || int64(len(data)) != ch.Size {
-				stats.Lost++
+				stats.lose(i)
 				continue
 			}
 			stats.record(k.Now(), k.Now()-due, ch.Size, cfg.Tolerance)
@@ -131,6 +131,12 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 			stats.Span = k.Now() - begin
 		}
 	})
+}
+
+// lose counts frame i as lost.
+func (ps *PlayerStats) lose(i int) {
+	ps.Lost++
+	ps.LostAt = append(ps.LostAt, i)
 }
 
 func (ps *PlayerStats) record(now, delay sim.Time, size int64, tolerance sim.Time) {

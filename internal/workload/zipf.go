@@ -144,8 +144,7 @@ func playViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 				break
 			}
 			if k.Now() >= limit {
-				stats.Lost++
-				stats.LostAt = append(stats.LostAt, i)
+				stats.lose(i)
 				break
 			}
 			th.Sleep(cfg.Poll)
