@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	craschaos                     # full campaign (46 scenarios)
+//	craschaos                     # full campaign (49 scenarios)
 //	craschaos -quick              # CI subset (one stream count per kind)
 //	craschaos -seed 7             # re-derive the campaign from another seed
 //	craschaos -only stall         # scenarios whose name contains "stall"

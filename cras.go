@@ -4,6 +4,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/health"
 	"repro/internal/lab"
 	"repro/internal/media"
 	"repro/internal/metrics"
@@ -169,6 +170,11 @@ type (
 	VolumeShape       = core.VolumeShape
 	MemberHealth      = core.MemberHealth
 	MemberHealthEvent = core.MemberHealthEvent
+	// HealthCause is why a stream, member or node moved on its health
+	// ladder (the Cause of every health event); HealthReason prints a
+	// cause with its count the way trace lines do.
+	HealthCause  = health.Cause
+	HealthReason = health.Reason
 )
 
 // Member ladder positions (parity volumes).

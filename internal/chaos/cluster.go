@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/health"
 	"repro/internal/lab"
 	"repro/internal/media"
 	"repro/internal/rtm"
@@ -305,7 +306,7 @@ func (r *Result) checkCluster(sc Scenario, c *cluster.Cluster, players []*cluste
 		}
 		deadName := false
 		for _, ev := range deadEvents[faultVictim] {
-			if ev.To == cluster.NodeDead && ev.Reason == "dead-name notification" {
+			if ev.To == cluster.NodeDead && ev.Cause == health.DeadName {
 				deadName = true
 			}
 		}
@@ -329,9 +330,9 @@ func (r *Result) checkCluster(sc Scenario, c *cluster.Cluster, players []*cluste
 				if !suspect {
 					r.violate("wedged node %d pronounced Dead before Suspect", faultVictim)
 				}
-				if ev.Reason != "missed cycle heartbeats" {
-					r.violate("wedged node %d death reason = %q, want missed cycle heartbeats",
-						faultVictim, ev.Reason)
+				if ev.Cause != health.MissedHeartbeats {
+					r.violate("wedged node %d death cause = %v, want missed cycle heartbeats",
+						faultVictim, ev.Cause)
 				}
 				dead = true
 			}

@@ -10,9 +10,12 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/health"
 	"repro/internal/lab"
 	"repro/internal/media"
 	"repro/internal/rtm"
@@ -42,10 +45,10 @@ type Config struct {
 	// CRAS cycle interval — one observation per scheduler cycle.
 	HeartbeatEvery sim.Time
 
-	// SuspectAfter / DeadAfter are the missed-heartbeat counts that move a
-	// node Healthy→Suspect and →Dead. Defaults 2 and 4.
-	SuspectAfter int
-	DeadAfter    int
+	// DeadAfter is the consecutive missed-heartbeat count that moves a
+	// node to Dead (suspectAfter misses already made it Suspect). Default
+	// 4; values at or below suspectAfter also select 4.
+	DeadAfter int
 
 	// FailoverJitterMin/Max bound the per-viewer backoff drawn before a
 	// displaced viewer re-opens elsewhere, decorrelating the reopen wave a
@@ -89,34 +92,26 @@ const (
 )
 
 func (h NodeHealth) String() string {
-	switch h {
-	case NodeHealthy:
-		return "healthy"
-	case NodeSuspect:
-		return "suspect"
-	case NodeDead:
-		return "dead"
+	if names := [...]string{"healthy", "suspect", "dead"}; h >= 0 && int(h) < len(names) {
+		return names[h]
 	}
 	return fmt.Sprintf("health(%d)", int(h))
 }
 
 // NodeHealthEvent records one ladder transition.
 type NodeHealthEvent struct {
-	Node   string
-	ID     int
-	From   NodeHealth
-	To     NodeHealth
-	At     sim.Time
-	Reason string
+	Node  string
+	ID    int
+	From  NodeHealth
+	To    NodeHealth
+	At    sim.Time
+	Cause health.Cause
 }
 
-// pending transition values the hot heartbeat step hands to the applier.
-const (
-	pendNone = iota
-	pendHealthy
-	pendSuspect
-	pendDead
-)
+// suspectAfter consecutive missed heartbeats make a node Suspect. At 2 the
+// error window on the Healthy rung only ever holds 0 or 1, so aging it by
+// one per clean heartbeat is the same as resetting it.
+const suspectAfter = 2
 
 // node is one cluster member and the routing state hung off it.
 type node struct {
@@ -127,11 +122,11 @@ type node struct {
 	health   NodeHealth
 	draining bool
 
-	// Heartbeat counters (hot path: plain ints, no allocation).
-	lastCycle  int
-	missed     int
-	pend       int
-	pendReason string
+	// Heartbeat state (hot path: no allocation). pend is the move the
+	// heartbeat step staged for applyTransitions.
+	lastCycle int
+	lad       health.Ladder
+	pend      health.Move
 
 	sessions []*Session     // sessions this node currently serves, in open order
 	serving  map[string]int // open-session count per path (placement routing)
@@ -162,6 +157,7 @@ type Stats struct {
 // Cluster is the front door.
 type Cluster struct {
 	cfg    Config
+	rule   health.Rule // the node ladder
 	eng    *sim.Engine
 	k      *rtm.Kernel // front-door kernel, distinct from every node's
 	nodes  []*node
@@ -185,11 +181,8 @@ func New(cfg Config, ready func(c *Cluster)) *Cluster {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 2
-	}
-	if cfg.DeadAfter <= cfg.SuspectAfter {
-		cfg.DeadAfter = cfg.SuspectAfter + 2
+	if cfg.DeadAfter <= suspectAfter {
+		cfg.DeadAfter = suspectAfter + 2
 	}
 	if cfg.FailoverJitterMin <= 0 {
 		cfg.FailoverJitterMin = 20 * time.Millisecond
@@ -207,7 +200,14 @@ func New(cfg Config, ready func(c *Cluster)) *Cluster {
 		cfg.VirtualNodes = 16
 	}
 	c := &Cluster{
-		cfg:    cfg,
+		cfg: cfg,
+		// A node is the member ladder with a recovery count of one: the
+		// missed-heartbeat window is carried into Suspect, and the first
+		// clean heartbeat brings it back.
+		rule: health.Rule{
+			Enter: suspectAfter, Out: cfg.DeadAfter, Carry: math.MaxInt, Recover: 1,
+			Why: [3]health.Cause{health.CyclesResumed, health.MissedHeartbeats, health.MissedHeartbeats},
+		},
 		eng:    sim.NewEngine(cfg.Seed),
 		movies: make(map[string]*media.StreamInfo, len(cfg.Movies)),
 	}
@@ -255,7 +255,7 @@ func (c *Cluster) finishBoot(ready func(*Cluster)) {
 		n := n
 		c.k.NewThread("cluster.monitor."+n.name, rtm.PrioRT, 0, func(th *rtm.Thread) {
 			if _, ok := notify.Receive(th).(rtm.DeadName); ok {
-				c.nodeDead(n, "dead-name notification")
+				c.nodeDead(n, health.DeadName)
 			}
 		})
 	}
@@ -271,65 +271,59 @@ func (c *Cluster) finishBoot(ready func(*Cluster)) {
 }
 
 // heartbeatStep is the per-cycle routing step: one cycle-count observation
-// per node feeding the Healthy→Suspect→Dead ladder the router consults.
-// It runs every heartbeat for every node, so it only moves counters;
-// transitions (rare) are staged in pend and applied off this path.
+// per node feeding the Healthy→Suspect→Dead ladder the router consults — a
+// heartbeat whose cycle count has not moved is one failure. It runs every
+// heartbeat for every node, so it only moves counters; transitions (rare)
+// are staged in pend and applied off this path.
 //
 //crasvet:hotpath
 func (c *Cluster) heartbeatStep() {
 	c.stats.HeartbeatsObserved++
 	for _, n := range c.nodes {
-		n.pend = pendNone
+		n.pend = health.Move{}
 		if n.health == NodeDead {
 			continue
 		}
 		if n.m.CRAS.Stopped() {
-			n.pend, n.pendReason = pendDead, "server stopped"
+			n.pend = health.Move{To: int(NodeDead), Cause: health.ServerStopped}
 			continue
 		}
-		cyc := n.m.CRAS.CycleCount()
-		if cyc != n.lastCycle {
+		missed := 0
+		if cyc := n.m.CRAS.CycleCount(); cyc != n.lastCycle {
 			n.lastCycle = cyc
-			n.missed = 0
-			if n.health == NodeSuspect {
-				n.pend, n.pendReason = pendHealthy, "cycles resumed"
-			}
-			continue
+		} else {
+			missed = 1
 		}
-		n.missed++
-		switch {
-		case n.missed >= c.cfg.DeadAfter:
-			n.pend, n.pendReason = pendDead, "missed cycle heartbeats"
-		case n.missed >= c.cfg.SuspectAfter && n.health == NodeHealthy:
-			n.pend, n.pendReason = pendSuspect, "missed cycle heartbeats"
-		}
+		n.pend = n.lad.Step(int(n.health), missed, &c.rule)
 	}
 }
 
-// applyTransitions applies the transitions heartbeatStep staged. Runs on
-// the monitor thread but off the hot path — transitions may allocate
-// (events, failover threads).
+// applyTransitions applies the moves heartbeatStep staged. Runs on the
+// monitor thread but off the hot path — transitions may allocate (events,
+// failover threads).
 func (c *Cluster) applyTransitions() {
 	for _, n := range c.nodes {
-		switch n.pend {
-		case pendHealthy:
+		mv := n.pend
+		n.pend = health.Move{}
+		switch {
+		case mv.Cause == health.None:
+		case mv.To == int(NodeDead):
+			c.nodeDead(n, mv.Cause)
+		case mv.To == int(NodeHealthy):
 			c.stats.NodesRecovered++
-			c.setHealth(n, NodeHealthy, n.pendReason)
-		case pendSuspect:
+			c.setHealth(n, NodeHealthy, mv.Cause)
+		default:
 			c.stats.NodesSuspected++
-			c.setHealth(n, NodeSuspect, n.pendReason)
-		case pendDead:
-			c.nodeDead(n, n.pendReason)
+			c.setHealth(n, NodeSuspect, mv.Cause)
 		}
-		n.pend = pendNone
 	}
 }
 
-func (c *Cluster) setHealth(n *node, to NodeHealth, reason string) {
+func (c *Cluster) setHealth(n *node, to NodeHealth, cause health.Cause) {
 	if n.health == to {
 		return
 	}
-	ev := NodeHealthEvent{Node: n.name, ID: n.id, From: n.health, To: to, At: c.k.Now(), Reason: reason}
+	ev := NodeHealthEvent{Node: n.name, ID: n.id, From: n.health, To: to, At: c.k.Now(), Cause: cause}
 	n.health = to
 	if c.OnNodeHealth != nil {
 		c.OnNodeHealth(ev)
@@ -342,12 +336,12 @@ func (c *Cluster) setHealth(n *node, to NodeHealth, reason string) {
 // replica at its stamp point after a seed-deterministic jittered backoff,
 // so the reopen wave spreads over the jitter window instead of landing on
 // one survivor in a single cycle.
-func (c *Cluster) nodeDead(n *node, reason string) {
+func (c *Cluster) nodeDead(n *node, cause health.Cause) {
 	if n.health == NodeDead {
 		return
 	}
 	c.stats.NodesDead++
-	c.setHealth(n, NodeDead, reason)
+	c.setHealth(n, NodeDead, cause)
 	victims := n.sessions
 	n.sessions = nil
 	for path := range n.serving {
@@ -363,7 +357,7 @@ func (c *Cluster) nodeDead(n *node, reason string) {
 		// is a pure function of engine seed + JitterSeed.
 		jitter := c.rng.DurationRange(c.cfg.FailoverJitterMin, c.cfg.FailoverJitterMax)
 		s := s
-		c.k.NewThread(fmt.Sprintf("cluster.failover.%s.g%d", s.path, s.gen), rtm.PrioTS, 0,
+		c.k.NewThread("cluster.failover."+s.path+".g"+strconv.Itoa(s.gen), rtm.PrioTS, 0,
 			func(th *rtm.Thread) {
 				th.Sleep(jitter)
 				c.failoverSession(th, s, n)
@@ -371,11 +365,37 @@ func (c *Cluster) nodeDead(n *node, reason string) {
 	}
 }
 
-// failoverSession re-establishes one displaced viewer: full rate first, a
-// thinned delivered rate (frame skipping at full clock pace) when the
-// survivors cannot fit the displaced population at full rate, and an
-// honest typed *FailoverError with a RetryAfter wait
-// when the cluster is saturated outright — retried a bounded number of
+// reopen re-establishes s's stream at media time at on a node other than
+// from: full rate first, and a thinned delivered rate when the peers cannot
+// fit it at full rate — the replacement keeps the clock at full pace and
+// skips frames, instead of stretching the viewer's timeline in slow
+// motion. On failure err is the full-rate refusal and hint the wait the
+// refusals quoted.
+func (c *Cluster) reopen(th *rtm.Thread, s *Session, at sim.Time, from *node) (*core.Handle, *node, sim.Time, error) {
+	h, n, err := c.openOn(th, s.path, s.info, core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: s.dr}, from)
+	if err == nil {
+		return h, n, 0, nil
+	}
+	hint, capacity := capacityError(err)
+	if capacity && c.cfg.DegradedRate > 0 && c.cfg.DegradedRate < 1 {
+		reduced := s.deliveredRate() * c.cfg.DegradedRate
+		h, n, err2 := c.openOn(th, s.path, s.info, core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: reduced}, from)
+		if err2 == nil {
+			s.dr = reduced
+			s.reduced++
+			c.stats.FailoversReduced++
+			return h, n, 0, nil
+		}
+		if fe, ok := err2.(*FailoverError); ok {
+			hint = fe.RetryAfter
+		}
+	}
+	return nil, nil, hint, err
+}
+
+// failoverSession re-establishes one displaced viewer (reopen), and when
+// the cluster is saturated outright hands it an honest typed
+// *FailoverError with a RetryAfter wait — retried a bounded number of
 // times before the viewer is refused for good.
 func (c *Cluster) failoverSession(th *rtm.Thread, s *Session, from *node) {
 	for attempt := 0; ; attempt++ {
@@ -389,32 +409,11 @@ func (c *Cluster) failoverSession(th *rtm.Thread, s *Session, from *node) {
 			s.orphaned = false
 			return
 		}
-		h, n, err := c.openOn(th, s.path, s.info,
-			core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: s.dr}, from)
+		h, n, hint, err := c.reopen(th, s, at, from)
 		if err == nil {
 			c.adopt(th, s, h, n, s.rate)
 			c.stats.Failovers++
 			return
-		}
-		hint, capacity := capacityError(err)
-		if capacity && c.cfg.DegradedRate > 0 && c.cfg.DegradedRate < 1 {
-			// Re-admit with a thinned delivered rate: the replacement keeps
-			// the clock at full pace and skips frames, instead of stretching
-			// the viewer's timeline in slow motion.
-			reduced := s.deliveredRate() * c.cfg.DegradedRate
-			h, n, err2 := c.openOn(th, s.path, s.info,
-				core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: reduced}, from)
-			if err2 == nil {
-				s.dr = reduced
-				s.reduced++
-				c.adopt(th, s, h, n, s.rate)
-				c.stats.Failovers++
-				c.stats.FailoversReduced++
-				return
-			}
-			if h2, ok := err2.(*FailoverError); ok {
-				hint = h2.RetryAfter
-			}
 		}
 		fe, ok := err.(*FailoverError)
 		if !ok {
@@ -498,20 +497,7 @@ func (c *Cluster) DrainNode(th *rtm.Thread, id int, grace sim.Time) error {
 		if at >= s.info.TotalDuration() {
 			continue // runs out on the draining node before a peer could take over
 		}
-		h, peer, err := c.openOn(th, s.path, s.info,
-			core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: s.dr}, n)
-		if err != nil {
-			if _, capacity := capacityError(err); capacity && c.cfg.DegradedRate > 0 && c.cfg.DegradedRate < 1 {
-				reduced := s.deliveredRate() * c.cfg.DegradedRate
-				if h2, peer2, err2 := c.openOn(th, s.path, s.info,
-					core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: reduced}, n); err2 == nil {
-					s.dr = reduced
-					s.reduced++
-					c.stats.FailoversReduced++
-					h, peer, err = h2, peer2, nil
-				}
-			}
-		}
+		h, peer, _, err := c.reopen(th, s, at, n)
 		if err != nil {
 			c.stats.MigrationsFailed++
 			if fe, ok := err.(*FailoverError); ok {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/health"
 	"repro/internal/lab"
 	"repro/internal/media"
 	"repro/internal/rtm"
@@ -285,7 +286,7 @@ func TestKillOneNodeFailover(t *testing.T) {
 	}
 	deadSeen := false
 	for _, ev := range events {
-		if ev.To == NodeDead && ev.Reason == "dead-name notification" {
+		if ev.To == NodeDead && ev.Cause == health.DeadName {
 			deadSeen = true
 		}
 	}
@@ -317,7 +318,6 @@ func TestKillOneNodeFailover(t *testing.T) {
 func TestWedgeDetectedByHeartbeat(t *testing.T) {
 	movies := testMovies(1, 6*time.Second)
 	cfg := testConfig(2, 104, movies)
-	cfg.SuspectAfter = 2
 	cfg.DeadAfter = 3
 	var events []NodeHealthEvent
 	stoppedAtDead := true
@@ -354,8 +354,8 @@ func TestWedgeDetectedByHeartbeat(t *testing.T) {
 			if !suspect {
 				t.Errorf("Dead pronounced before Suspect")
 			}
-			if ev.Reason != "missed cycle heartbeats" {
-				t.Errorf("death reason = %q, want missed cycle heartbeats", ev.Reason)
+			if ev.Cause != health.MissedHeartbeats {
+				t.Errorf("death cause = %v, want missed cycle heartbeats", ev.Cause)
 			}
 			dead = true
 		}
@@ -383,7 +383,6 @@ func TestWedgeDetectedByHeartbeat(t *testing.T) {
 func TestWedgeRecovery(t *testing.T) {
 	movies := testMovies(1, 4*time.Second)
 	cfg := testConfig(2, 105, movies)
-	cfg.SuspectAfter = 2
 	cfg.DeadAfter = 8
 	var events []NodeHealthEvent
 	var c *Cluster
@@ -393,7 +392,7 @@ func TestWedgeRecovery(t *testing.T) {
 			srv := c.NodeCRAS(0)
 			th.Sleep(time.Second)
 			srv.Wedge()
-			th.Sleep(2 * time.Second) // past SuspectAfter, short of DeadAfter
+			th.Sleep(2 * time.Second) // past suspectAfter, short of DeadAfter
 			srv.Unwedge()
 		})
 	})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/health"
 	"repro/internal/rtm"
 )
 
@@ -320,7 +321,7 @@ func TestWhiteboxEdges(t *testing.T) {
 	n := c.nodes[0]
 	fired := false
 	c.OnNodeHealth = func(NodeHealthEvent) { fired = true }
-	c.setHealth(n, NodeHealthy, "noop")
+	c.setHealth(n, NodeHealthy, health.None)
 	if fired {
 		t.Errorf("no-op health transition fired an event")
 	}
@@ -330,7 +331,7 @@ func TestWhiteboxEdges(t *testing.T) {
 		c.NodeCRAS(0).Shutdown()
 	})
 	c.Run(time.Second)
-	c.nodeDead(n, "second verdict")
+	c.nodeDead(n, health.DeadName)
 	if got := c.Stats().NodesDead; got != 1 {
 		t.Errorf("NodesDead = %d after a double pronouncement, want 1", got)
 	}

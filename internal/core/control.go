@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/rtm"
 	"repro/internal/sim"
 )
@@ -182,7 +183,7 @@ func (s *Server) drainStep(now sim.Time) bool {
 				continue
 			}
 			s.stats.DrainEvictions++
-			s.evict(st, "drain deadline")
+			s.evict(st, health.DrainDeadline, 0)
 		}
 	}
 	if s.ActiveStreams() > 0 {

@@ -143,8 +143,7 @@ func checkLadderScripts(t *testing.T, scripts []ladderScript, parity bool) {
 // (however many land in one cycle — the overshoot does not count toward
 // suspension), SuspendAfter further failures to Suspended, a delivered-rate
 // step-down that re-enters Degraded with its count restarted, recovery after
-// RecoverCycles consecutive clean cycles, and eviction EvictAfter after
-// suspension.
+// 8 consecutive clean cycles, and eviction 4 intervals after suspension.
 func TestStreamLadderSequences(t *testing.T) {
 	checkLadderScripts(t, []ladderScript{{
 		name:   "overshoot on entry",

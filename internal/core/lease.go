@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-
+	"repro/internal/health"
 	"repro/internal/rtm"
 	"repro/internal/sim"
 )
@@ -56,7 +55,7 @@ func (s *Server) reapLease(ev LeaseExpired) {
 		return // closed in the gap between scan and reap
 	}
 	s.stats.SessionsReaped++
-	s.evict(st, fmt.Sprintf("lease expired after %v idle", ev.Idle))
+	s.evict(st, health.LeaseExpired, int(ev.Idle))
 }
 
 // reapDeadName is the fast path: the client's per-session port was
@@ -68,7 +67,7 @@ func (s *Server) reapDeadName(dn rtm.DeadName) {
 			continue
 		}
 		s.stats.SessionsReaped++
-		s.evict(st, "client port destroyed")
+		s.evict(st, health.ClientGone, 0)
 		return
 	}
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
@@ -21,11 +21,11 @@ func TestIdleClientReapedAtLeaseTTL(t *testing.T) {
 		map[string]*media.StreamInfo{"/m1": movie},
 		func(b *bed, th *rtm.Thread) {
 			var evictAt sim.Time
-			var evictReason string
+			var evictCause health.Cause
 			b.cras.OnStreamHealth = func(ev StreamHealthEvent) {
 				if ev.To == Evicted {
 					evictAt = b.k.Now()
-					evictReason = ev.Reason
+					evictCause = ev.Cause
 				}
 			}
 			h, err := b.cras.Open(th, movie, "/m1", OpenOptions{})
@@ -51,8 +51,8 @@ func TestIdleClientReapedAtLeaseTTL(t *testing.T) {
 			if evictAt != expect {
 				t.Errorf("reaped at %v, want first cycle boundary %v", evictAt, expect)
 			}
-			if !strings.Contains(evictReason, "lease expired") {
-				t.Errorf("eviction reason = %q", evictReason)
+			if evictCause != health.LeaseExpired {
+				t.Errorf("eviction cause = %v, want lease expired", evictCause)
 			}
 			st := b.cras.Stats()
 			if st.LeasesExpired != 1 || st.SessionsReaped != 1 {

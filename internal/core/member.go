@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/disk"
+	"repro/internal/health"
 	"repro/internal/sim"
 )
 
@@ -41,34 +42,28 @@ const (
 )
 
 func (h MemberHealth) String() string {
-	switch h {
-	case MemberHealthy:
-		return "healthy"
-	case MemberSuspect:
-		return "suspect"
-	case MemberDead:
-		return "dead"
-	case MemberRebuilding:
-		return "rebuilding"
+	if names := [...]string{"healthy", "suspect", "dead", "rebuilding"}; h >= 0 && int(h) < len(names) {
+		return names[h]
 	}
 	return fmt.Sprintf("MemberHealth(%d)", int(h))
 }
 
 // MemberHealthEvent is posted to the deadline manager whenever a member
 // moves on its ladder, and is what the OnMemberHealth callback receives.
+// N is the cause's count (see health.Cause).
 type MemberHealthEvent struct {
 	Member   int
 	From, To MemberHealth
 	Cycle    int
-	Reason   string
+	Cause    health.Cause
+	N        int
 }
 
 // memberState is the scheduler's view of one member disk.
 type memberState struct {
-	health      MemberHealth
-	windowErrs  int // hard failures in the sliding window
-	cleanCycles int // consecutive clean cycles while Suspect
-	cycleErrs   int // hard failures absorbed this cycle
+	health    MemberHealth
+	lad       health.Ladder
+	cycleErrs int // hard failures absorbed this cycle
 }
 
 // memberOp is an operator action on a member, queued from the caller's
@@ -82,14 +77,14 @@ type memberOp struct {
 // rebuildRow tracks one stripe row's in-flight rebuild I/O.
 type rebuildRow struct {
 	remaining int
-	err       error
+	failed    bool
 }
 
 // rebuildAck is the completion message a rebuild I/O sends through the
 // I/O-done port; the scheduler consumes them at the cycle edge.
 type rebuildAck struct {
-	row int64
-	err error
+	row    int64
+	failed bool
 }
 
 // rebuildState is one in-progress member rebuild. Rows are reconstructed
@@ -177,11 +172,11 @@ func (s *Server) noteMemberErr(d int) {
 
 // setMemberHealth moves a member on its ladder and notifies the deadline
 // manager.
-func (s *Server) setMemberHealth(i int, to MemberHealth, reason string) {
+func (s *Server) setMemberHealth(i int, to MemberHealth, cause health.Cause, n int) {
 	from := s.members[i].health
 	s.members[i].health = to
 	s.deadlinePort.Send(MemberHealthEvent{
-		Member: i, From: from, To: to, Cycle: s.cycle, Reason: reason,
+		Member: i, From: from, To: to, Cycle: s.cycle, Cause: cause, N: n,
 	})
 }
 
@@ -190,23 +185,22 @@ func (s *Server) noteMember(ev MemberHealthEvent) {
 	if s.OnMemberHealth != nil {
 		s.OnMemberHealth(ev)
 	} else {
-		s.k.Engine().Tracef("cras: member %d %s -> %s at cycle %d: %s",
-			ev.Member, ev.From, ev.To, ev.Cycle, ev.Reason)
+		s.k.Engine().Tracef("cras: member %d %s -> %s at cycle %d: %v",
+			ev.Member, ev.From, ev.To, ev.Cycle, health.Reason{Cause: ev.Cause, N: ev.N})
 	}
 }
 
 // killMember drops a member from placement: the volume marks it dead (all
 // reads touching it now reconstruct from survivors), and the open set is
 // re-evaluated at the degraded admission charge.
-func (s *Server) killMember(i int, now sim.Time, reason string) {
+func (s *Server) killMember(i int, now sim.Time, cause health.Cause, n int) {
 	if s.vol.NumDead() > 0 {
 		return // single parity: a second death is not survivable
 	}
 	s.vol.SetDead(i, true)
 	s.stats.MembersDead++
-	s.members[i].windowErrs = 0
-	s.members[i].cleanCycles = 0
-	s.setMemberHealth(i, MemberDead, reason)
+	s.members[i].lad.Reset()
+	s.setMemberHealth(i, MemberDead, cause, n)
 	s.reevaluateAdmission(now)
 }
 
@@ -218,7 +212,6 @@ func (s *Server) killMember(i int, now sim.Time, reason string) {
 // timeout) — until the remainder fits, instead of letting every stream
 // silently miss deadlines.
 func (s *Server) reevaluateAdmission(now sim.Time) {
-	shape := s.volShape()
 	for {
 		var set []StreamParams
 		for _, st := range s.streams {
@@ -231,7 +224,7 @@ func (s *Server) reevaluateAdmission(now sim.Time) {
 		if len(set) == 0 {
 			return
 		}
-		if s.cfg.Params.AdmitShape(s.cfg.Interval, s.ramBudget(), shape, set) == nil {
+		if s.admit(set) == nil {
 			return
 		}
 		// Newest non-cached stream pays first: oldest-first is the
@@ -248,9 +241,7 @@ func (s *Server) reevaluateAdmission(now sim.Time) {
 		if victim == nil {
 			return
 		}
-		victim.suspendedAt = now
-		victim.clock.Stop(now)
-		s.setHealth(victim, Suspended, "over-committed in degraded mode")
+		s.suspend(victim, now, health.OverCommitted, 0)
 	}
 }
 
@@ -336,54 +327,28 @@ func (s *Server) applyMemberOp(op memberOp, now sim.Time) {
 		return
 	}
 	if m.health != MemberDead && m.health != MemberRebuilding {
-		s.killMember(op.member, now, "operator fail")
+		s.killMember(op.member, now, health.OperatorFail, 0)
 	}
 }
 
 // updateMemberHealth advances every member's ladder position from the
-// hard failures the cycle just absorbed — the same window/age-out shape
-// as the stream ladder, with seed-deterministic thresholds from the
-// recovery policy.
+// hard failures the cycle just absorbed. A member the ladder would kill
+// stays Suspect while another is already dead: single parity cannot lose
+// two.
 //
 //crasvet:hotpath
 func (s *Server) updateMemberHealth(now sim.Time) {
-	pol := s.cfg.Recovery
 	for i := range s.members {
 		m := &s.members[i]
 		errs := m.cycleErrs
 		m.cycleErrs = 0
-		switch m.health {
-		case MemberHealthy:
-			if errs == 0 {
-				if m.windowErrs > 0 {
-					m.windowErrs-- // old failures age out
-				}
-				continue
-			}
-			m.windowErrs += errs
-			if m.windowErrs >= pol.MemberSuspectAfter {
-				m.cleanCycles = 0
-				s.setMemberHealth(i, MemberSuspect,
-					//crasvet:allow hotalloc -- formats once per health transition, not per cycle
-					fmt.Sprintf("%d hard failures", m.windowErrs))
-			}
-		case MemberSuspect:
-			if errs > 0 {
-				m.windowErrs += errs
-				m.cleanCycles = 0
-				if m.windowErrs >= pol.MemberDeadAfter && s.vol.NumDead() == 0 {
-					//crasvet:allow hotalloc -- formats once per member death, not per cycle
-					s.killMember(i, now, fmt.Sprintf("%d hard failures", m.windowErrs))
-				}
-				continue
-			}
-			m.cleanCycles++
-			if m.cleanCycles >= pol.MemberRecoverCycles {
-				m.windowErrs = 0
-				s.setMemberHealth(i, MemberHealthy,
-					//crasvet:allow hotalloc -- formats once per health transition, not per cycle
-					fmt.Sprintf("%d clean cycles", m.cleanCycles))
-			}
+		mv := m.lad.Step(int(m.health), errs, &s.memberRule)
+		switch {
+		case mv.Cause == health.None:
+		case mv.To == int(MemberDead):
+			s.killMember(i, now, mv.Cause, mv.N)
+		default:
+			s.setMemberHealth(i, MemberHealth(mv.To), mv.Cause, mv.N)
 		}
 	}
 }
@@ -399,7 +364,7 @@ func (s *Server) startRebuild(member int) {
 		inflight: make(map[int64]*rebuildRow), //crasvet:allow hotalloc -- same once-per-rebuild setup
 		attempts: make(map[int64]int),         //crasvet:allow hotalloc -- same once-per-rebuild setup
 	}
-	s.setMemberHealth(member, MemberRebuilding, "replacement attached")
+	s.setMemberHealth(member, MemberRebuilding, health.ReplacementAttached, 0)
 }
 
 // rebuildStep drains the cycle's rebuild completions and, when the
@@ -423,24 +388,20 @@ func (s *Server) rebuildStep(now sim.Time) {
 		if row == nil {
 			continue
 		}
-		if ack.err != nil && row.err == nil {
-			row.err = ack.err
-		}
+		row.failed = row.failed || ack.failed
 		row.remaining--
 		if row.remaining > 0 {
 			continue
 		}
 		delete(rb.inflight, ack.row)
-		if row.err == nil {
+		if !row.failed {
 			rb.done++
 			s.stats.RebuildUnits++
 			continue
 		}
 		rb.attempts[ack.row]++
 		if rb.attempts[ack.row] >= rebuildRowAttempts {
-			//crasvet:allow hotalloc -- formats once per rebuild abort, not per cycle
-			s.abortRebuild(fmt.Sprintf("row %d failed %d times: %v",
-				ack.row, rb.attempts[ack.row], row.err))
+			s.abortRebuild(ack.row)
 			s.rebuildQ = s.rebuildQ[:0]
 			return
 		}
@@ -507,19 +468,20 @@ func (s *Server) issueRebuildRow(row int64) {
 			Write: d == rb.member, // survivors read, the target writes
 			//crasvet:allow hotalloc -- same spare-time-paced rebuild path
 			Done: func(r *disk.Request, _ []byte) {
-				s.iodonePort.Send(rebuildAck{row: row, err: r.Err})
+				s.iodonePort.Send(rebuildAck{row: row, failed: r.Err != nil})
 			},
 		}
 		s.vol.Disk(d).Submit(req)
 	}
 }
 
-// abortRebuild gives up on the replacement: the member returns to Dead
-// (reads stay degraded) and the operator must attach another disk.
-func (s *Server) abortRebuild(reason string) {
+// abortRebuild gives up on the replacement after row failed
+// rebuildRowAttempts times: the member returns to Dead (reads stay
+// degraded) and the operator must attach another disk.
+func (s *Server) abortRebuild(row int64) {
 	member := s.rebuild.member
 	s.rebuild = nil
-	s.setMemberHealth(member, MemberDead, "rebuild aborted: "+reason)
+	s.setMemberHealth(member, MemberDead, health.RebuildAborted, int(row))
 }
 
 // finishRebuild materializes the reconstructed member (bit-identical by
@@ -531,9 +493,6 @@ func (s *Server) finishRebuild() {
 	s.rebuild = nil
 	s.vol.RebuildMember(member)
 	s.vol.SetDead(member, false)
-	s.members[member].windowErrs = 0
-	s.members[member].cleanCycles = 0
-	s.setMemberHealth(member, MemberHealthy,
-		//crasvet:allow hotalloc -- formats once per rebuild completion, not per cycle
-		fmt.Sprintf("rebuild complete (%d rows)", rows))
+	s.members[member].lad.Reset()
+	s.setMemberHealth(member, MemberHealthy, health.RebuildComplete, int(rows))
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/health"
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
@@ -33,7 +34,7 @@ func TestDegradedOverCommitSuspends(t *testing.T) {
 	if _, err := ufs.Format(vol, ufs.Options{}); err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	var suspended []string
+	var suspended []health.Cause
 	opened := 0
 	e.Spawn("setup", func(pr *sim.Proc) {
 		fs, err := ufs.Mount(pr, vol, ufs.Options{})
@@ -55,7 +56,7 @@ func TestDegradedOverCommitSuspends(t *testing.T) {
 		})
 		cras.OnStreamHealth = func(ev StreamHealthEvent) {
 			if ev.To == Suspended {
-				suspended = append(suspended, ev.Reason)
+				suspended = append(suspended, ev.Cause)
 			}
 		}
 		k.NewThread("app", rtm.PrioRTLow, 0, func(th *rtm.Thread) {
@@ -88,9 +89,9 @@ func TestDegradedOverCommitSuspends(t *testing.T) {
 	if len(suspended) == 0 {
 		t.Fatalf("no stream was suspended after the member death")
 	}
-	for _, reason := range suspended {
-		if reason != "over-committed in degraded mode" {
-			t.Errorf("suspension reason = %q", reason)
+	for _, cause := range suspended {
+		if cause != health.OverCommitted {
+			t.Errorf("suspension cause = %v, want over-committed in degraded mode", cause)
 		}
 	}
 	if len(suspended) >= 24 {

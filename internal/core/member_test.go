@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/health"
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
@@ -248,7 +248,7 @@ func parityWorkload(t *testing.T, b *bed, th *rtm.Thread,
 
 func hasAbortEvent(events []MemberHealthEvent) bool {
 	for _, ev := range events {
-		if ev.To == MemberDead && strings.Contains(ev.Reason, "rebuild aborted") {
+		if ev.To == MemberDead && ev.Cause == health.RebuildAborted {
 			return true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/ufs"
@@ -225,7 +226,7 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 					v.stop = true
 					v.excused = true
 					t.Logf("op %d @%v: crash viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.MulticastMember(), v.h.st.prod[fanShare] != nil)
-					b.cras.evict(v.h.st, "property-suite crash")
+					b.cras.evict(v.h.st, health.ClientGone, 0)
 				default: // close a viewer whose player already finished
 					for _, v := range live {
 						if v.done {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/health"
 	"repro/internal/sim"
 )
 
@@ -22,8 +24,8 @@ const (
 	Degraded
 
 	// Suspended streams stop fetching and their logical clock freezes; the
-	// buffer keeps whatever had arrived. A stream that stays suspended is
-	// evicted after RecoveryPolicy.EvictAfter.
+	// buffer keeps whatever had arrived. A stream that stays suspended for
+	// evictAfter intervals is evicted.
 	Suspended
 
 	// Evicted streams are closed: their admission capacity and buffer
@@ -32,15 +34,8 @@ const (
 )
 
 func (h StreamHealth) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Suspended:
-		return "suspended"
-	case Evicted:
-		return "evicted"
+	if names := [...]string{"healthy", "degraded", "suspended", "evicted"}; h >= 0 && int(h) < len(names) {
+		return names[h]
 	}
 	return fmt.Sprintf("StreamHealth(%d)", int(h))
 }
@@ -58,29 +53,9 @@ type RecoveryPolicy struct {
 	// old has lost its completion interrupt.
 	WatchdogTimeout sim.Time
 
-	// DegradeAfter is how many unrecovered (post-retry) read failures move
-	// a Healthy stream to Degraded. Default 1: a healthy stream has none.
-	DegradeAfter int
-
 	// SuspendAfter is how many further failures while Degraded move the
 	// stream to Suspended. Default 4.
 	SuspendAfter int
-
-	// RecoverCycles is how many consecutive clean cycles promote a
-	// Degraded stream back to Healthy. Default 8.
-	RecoverCycles int
-
-	// EvictAfter is how long a stream may stay Suspended before it is
-	// evicted and its resources released. Default 4*Interval.
-	EvictAfter sim.Time
-
-	// ShedAfter is how many consecutive interval batches must overrun
-	// their I/O deadline before the server sheds load by evicting the
-	// worst-health stream. Only streams already off the top of the ladder
-	// are candidates: all-healthy overruns mean the operator force-opened
-	// past admission (or background load spiked) and shedding would not
-	// help the streams it is meant to protect. Default 3.
-	ShedAfter int
 
 	// MemberSuspectAfter is how many hard fragment failures (post-retry or
 	// watchdog-canceled) within the error window promote a parity-volume
@@ -93,11 +68,27 @@ type RecoveryPolicy struct {
 	// way to Dead: the volume drops it from placement entirely and a
 	// rebuild must bring a replacement back. Default 6. Parity only.
 	MemberDeadAfter int
-
-	// MemberRecoverCycles is how many consecutive clean cycles demote a
-	// Suspect member back to Healthy (the fault was transient). Default 8.
-	MemberRecoverCycles int
 }
+
+// The recovery engine's fixed thresholds.
+const (
+	// recoverCycles consecutive clean cycles promote a Degraded stream or
+	// a Suspect member back to Healthy, and pace the delivered-rate
+	// ladder's step-ups.
+	recoverCycles = 8
+
+	// evictAfter is how many intervals a stream may stay Suspended before
+	// it is evicted and its resources released.
+	evictAfter = 4
+
+	// shedAfter consecutive interval batches must overrun their I/O
+	// deadline before the server sheds load by evicting the worst-health
+	// stream. Only streams already off the top of the ladder are
+	// candidates: all-healthy overruns mean the operator force-opened past
+	// admission (or background load spiked) and shedding would not help
+	// the streams it is meant to protect.
+	shedAfter = 3
+)
 
 func (p *RecoveryPolicy) fillDefaults(interval sim.Time) {
 	if p.MaxRetries == 0 {
@@ -106,20 +97,8 @@ func (p *RecoveryPolicy) fillDefaults(interval sim.Time) {
 	if p.WatchdogTimeout == 0 {
 		p.WatchdogTimeout = 2 * interval
 	}
-	if p.DegradeAfter == 0 {
-		p.DegradeAfter = 1
-	}
 	if p.SuspendAfter == 0 {
 		p.SuspendAfter = 4
-	}
-	if p.RecoverCycles == 0 {
-		p.RecoverCycles = 8
-	}
-	if p.EvictAfter == 0 {
-		p.EvictAfter = 4 * interval
-	}
-	if p.ShedAfter == 0 {
-		p.ShedAfter = 3
 	}
 	if p.MemberSuspectAfter == 0 {
 		p.MemberSuspectAfter = 3
@@ -127,20 +106,19 @@ func (p *RecoveryPolicy) fillDefaults(interval sim.Time) {
 	if p.MemberDeadAfter == 0 {
 		p.MemberDeadAfter = 6
 	}
-	if p.MemberRecoverCycles == 0 {
-		p.MemberRecoverCycles = 8
-	}
 }
 
 // StreamHealthEvent is posted to the deadline manager (the miss-notification
 // channel) whenever a stream moves on the degradation ladder, and is what
-// the OnStreamHealth callback receives.
+// the OnStreamHealth callback receives. N is the cause's count (see
+// health.Cause).
 type StreamHealthEvent struct {
 	StreamID int
 	Path     string
 	From, To StreamHealth
 	Cycle    int
-	Reason   string
+	Cause    health.Cause
+	N        int
 }
 
 // IOStall is sent to the deadline manager when the I/O watchdog cancels a
@@ -214,16 +192,7 @@ func (s *Server) retrySpares() []sim.Time {
 
 // retrySpare is the scalar spare time the control-plane budget draws on:
 // the tightest member's (on one disk, exactly the single-disk spare).
-func (s *Server) retrySpare() sim.Time {
-	spares := s.retrySpares()
-	min := spares[0]
-	for _, sp := range spares[1:] {
-		if sp < min {
-			min = sp
-		}
-	}
-	return min
-}
+func (s *Server) retrySpare() sim.Time { return slices.Min(s.retrySpares()) }
 
 // retryAllowed decides whether a failed fragment is re-issued, charging its
 // worst-case cost against its member disk's remaining retry budget.
@@ -291,75 +260,58 @@ func (s *Server) watchdogScan(now sim.Time, cycle int) {
 // updateStreamHealth advances every stream's ladder position from the hard
 // failures the cycle just absorbed. Runs once per scheduler cycle.
 func (s *Server) updateStreamHealth(now sim.Time) {
-	pol := s.cfg.Recovery
 	for _, st := range s.streams {
 		if st.closed {
 			continue
 		}
 		errs := st.cycleErrs
 		st.cycleErrs = 0
-		switch st.health {
-		case Healthy:
-			if errs == 0 {
-				if st.windowErrs > 0 {
-					st.windowErrs-- // old failures age out
-				}
-				continue
+		if st.health == Suspended {
+			if now-st.suspendedAt >= evictAfter*s.cfg.Interval {
+				s.evict(st, health.SuspensionTimeout, 0)
 			}
-			st.windowErrs += errs
-			if st.windowErrs >= pol.DegradeAfter {
-				st.degradedErrs = 0
-				st.cleanCycles = 0
-				s.setHealth(st, Degraded, fmt.Sprintf("%d unrecovered read failures", st.windowErrs)) //crasvet:allow hotalloc -- formats once per health transition, not per cycle
-			}
-		case Degraded:
-			if errs > 0 {
-				st.degradedErrs += errs
-				st.cleanCycles = 0
-				if st.degradedErrs >= pol.SuspendAfter {
-					// With a delivered-rate ladder configured, step the
-					// stream down a rung instead of suspending: less disk
-					// load, the viewer keeps (thinned) frames, and clean
-					// cycles can promote it back. Only when no rung is
-					// left does it suspend.
-					if s.ladderStepDown(st, now) {
-						continue
-					}
-					st.suspendedAt = now
-					st.clock.Stop(now)
-					s.setHealth(st, Suspended, fmt.Sprintf("%d failures while degraded", st.degradedErrs)) //crasvet:allow hotalloc -- formats once per health transition, not per cycle
-				}
-				continue
-			}
-			st.cleanCycles++
-			if st.cleanCycles >= pol.RecoverCycles {
-				st.windowErrs = 0
-				s.setHealth(st, Healthy, fmt.Sprintf("%d clean cycles", st.cleanCycles)) //crasvet:allow hotalloc -- formats once per health transition, not per cycle
-			}
-		case Suspended:
-			if now-st.suspendedAt >= pol.EvictAfter {
-				s.evict(st, "suspension timed out")
-			}
+			continue
+		}
+		mv := st.lad.Step(int(st.health), errs, &s.streamRule)
+		switch {
+		case mv.Cause == health.None:
+		case mv.To == int(Suspended) && s.ladderStepDown(st, now):
+			// With a delivered-rate ladder configured, the stream steps
+			// down a rung instead of suspending: less disk load, the
+			// viewer keeps (thinned) frames, and clean cycles can promote
+			// it back. Only when no rung is left does it suspend.
+		case mv.To == int(Suspended):
+			s.suspend(st, now, mv.Cause, mv.N)
+		default:
+			s.setHealth(st, StreamHealth(mv.To), mv.Cause, mv.N)
 		}
 	}
 }
 
 // setHealth moves a stream on the ladder and notifies the deadline manager.
-func (s *Server) setHealth(st *stream, to StreamHealth, reason string) {
+func (s *Server) setHealth(st *stream, to StreamHealth, cause health.Cause, n int) {
 	from := st.health
 	st.health = to
 	s.deadlinePort.Send(StreamHealthEvent{
-		StreamID: st.id, Path: st.name, From: from, To: to, Cycle: s.cycle, Reason: reason,
+		StreamID: st.id, Path: st.name, From: from, To: to, Cycle: s.cycle, Cause: cause, N: n,
 	})
+}
+
+// suspend stops a stream's fetching and freezes its clock; the eviction
+// timeout starts now.
+func (s *Server) suspend(st *stream, now sim.Time, cause health.Cause, n int) {
+	st.suspendedAt = now
+	st.clock.Stop(now)
+	s.setHealth(st, Suspended, cause, n)
 }
 
 // evict closes a stream from the server side: in-flight reads are
 // invalidated, admission capacity and buffer memory are released.
-func (s *Server) evict(st *stream, reason string) {
+func (s *Server) evict(st *stream, cause health.Cause, n int) {
 	st.closed = true
 	st.gen++
 	s.shareOnClose(st, s.k.Now())
-	s.setHealth(st, Evicted, reason)
+	s.setHealth(st, Evicted, cause, n)
 }
 
 // shedWorstStream implements server-wide load shedding: when consecutive
@@ -383,6 +335,6 @@ func (s *Server) shedWorstStream(cycle int) bool {
 		return false
 	}
 	s.stats.ShedEvictions++
-	s.evict(worst, fmt.Sprintf("load shed after %d consecutive I/O overruns", s.cfg.Recovery.ShedAfter))
+	s.evict(worst, health.LoadShed, shedAfter)
 	return true
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/health"
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
@@ -342,6 +344,10 @@ type Server struct {
 	csFree       []*cycleStat  //crasvet:confined
 	fragDone     func(*disk.Request, []byte)
 
+	// The stream and member ladders' rules (recovery.go), fixed at
+	// construction.
+	streamRule, memberRule health.Rule
+
 	// Consecutive-I/O-overrun tracking for server-wide shedding,
 	// maintained by the deadline manager thread.
 	overrunRun       int //crasvet:confined
@@ -420,6 +426,15 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 		iodonePort:   k.NewPort("cras.iodone"),
 		deadlinePort: k.NewPort("cras.deadline"),
 		signalPort:   k.NewPort("cras.signal"),
+		// The first unrecovered failure degrades a stream, and
+		// SuspendAfter failures counted afresh from there suspend it.
+		streamRule: health.Rule{Enter: 1, Out: cfg.Recovery.SuspendAfter, Recover: recoverCycles,
+			Why: [3]health.Cause{health.CleanCycles, health.ReadFailures, health.DegradedFailures}},
+		// A member carries its window whole into Suspect, so
+		// MemberDeadAfter counts every failure since it was last clean.
+		memberRule: health.Rule{Enter: cfg.Recovery.MemberSuspectAfter, Out: cfg.Recovery.MemberDeadAfter,
+			Carry: math.MaxInt, Recover: recoverCycles,
+			Why: [3]health.Cause{health.CleanCycles, health.HardFailures, health.HardFailures}},
 	}
 	s.stats.DiskReads = make([]int64, vol.NumDisks())
 	s.stats.DiskBytes = make([]int64, vol.NumDisks())
@@ -498,7 +513,7 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 					s.overrunRun = 1
 				}
 				s.lastOverrunCycle = m.Cycle
-				if s.overrunRun >= s.cfg.Recovery.ShedAfter && s.shedWorstStream(m.Cycle) {
+				if s.overrunRun >= shedAfter && s.shedWorstStream(m.Cycle) {
 					s.overrunRun = 0
 				}
 			case IOStall:
@@ -556,8 +571,8 @@ func (s *Server) noteHealth(ev StreamHealthEvent) {
 	if s.OnStreamHealth != nil {
 		s.OnStreamHealth(ev)
 	} else {
-		s.k.Engine().Tracef("cras: stream %d (%s) %s -> %s at cycle %d: %s",
-			ev.StreamID, ev.Path, ev.From, ev.To, ev.Cycle, ev.Reason)
+		s.k.Engine().Tracef("cras: stream %d (%s) %s -> %s at cycle %d: %v",
+			ev.StreamID, ev.Path, ev.From, ev.To, ev.Cycle, health.Reason{Cause: ev.Cause, N: ev.N})
 	}
 }
 
@@ -1149,19 +1164,25 @@ func (s *Server) handleRequest(t *rtm.Thread, req any) any {
 	case openReq:
 		return s.handleOpen(t, r)
 	case closeReq:
-		st := s.session(r.id, now)
-		if st == nil {
-			return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-		}
-		st.closed = true
-		st.gen++
-		s.shareOnClose(st, now)
-		if st.clientPort != nil {
+		// A closed session stays the client's to close while its client
+		// port lives: the first Close of a session the server evicted or
+		// reaped on its own succeeds too, the eviction already reported
+		// through Health and the health event.
+		for _, st := range s.streams {
+			if st.id != r.id || st.closed && st.clientPort.Dead() {
+				continue
+			}
+			if !st.closed {
+				st.closed = true
+				st.gen++
+				s.shareOnClose(st, now)
+			}
 			// An orderly close needs no dead-name notification.
 			st.clientPort.NotifyDeadName(nil)
 			st.clientPort.Destroy()
+			return opResp{}
 		}
-		return opResp{}
+		return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
 	case renewReq:
 		if s.session(r.id, now) == nil {
 			return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}

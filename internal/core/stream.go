@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/disk"
+	"repro/internal/health"
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
@@ -110,12 +111,10 @@ type stream struct {
 
 	// Degradation-ladder state, advanced once per cycle by the recovery
 	// engine (see recovery.go for the ladder semantics).
-	health       StreamHealth
-	cycleErrs    int      // hard read failures absorbed this cycle
-	windowErrs   int      // recent hard failures while Healthy (ages out)
-	degradedErrs int      // hard failures since entering Degraded
-	cleanCycles  int      // consecutive clean cycles while Degraded
-	suspendedAt  sim.Time // when the stream entered Suspended
+	health      StreamHealth
+	lad         health.Ladder
+	cycleErrs   int      // hard read failures absorbed this cycle
+	suspendedAt sim.Time // when the stream entered Suspended
 
 	// Session-lease state (see lease.go): leaseAt is the last time any
 	// client call touched the session; rpcInFlight counts the client's

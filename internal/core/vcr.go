@@ -191,9 +191,10 @@ func (s *Server) applyRateShape(st *stream, vel float64) {
 }
 
 // ladderStepDown is the recovery engine's alternative to suspension: a
-// Degraded stream that has burned its failure budget drops one rung of
-// delivered rate — fewer frames, less disk time over the bad region —
-// instead of freezing. Plain forward playback only: cache followers and
+// Degraded stream whose health ladder would suspend it drops one rung of
+// delivered rate — fewer frames, less disk time over the bad region — and
+// re-enters Degraded with its failure count restarted, instead of
+// freezing. Plain forward playback only: cache followers and
 // fan-out members issue no reads to shed, recorders must capture every
 // frame, and paused/reversed streams are already off the steady path.
 // Stepping down needs no admission test — it strictly reduces load.
@@ -210,8 +211,7 @@ func (s *Server) ladderStepDown(st *stream, now sim.Time) bool {
 	st.par = s.volParams(StreamParams{Rate: st.baseRate * vel * next, Chunk: st.par.Chunk})
 	st.dr = next
 	st.stepCycle = s.cycle
-	st.degradedErrs = 0
-	st.cleanCycles = 0
+	st.lad.Enter(&s.streamRule) // the rung move: Degraded afresh, one rate lower
 	s.applyRateShape(st, vel)
 	s.stats.RateStepDowns++
 	s.k.Engine().Tracef("cras: stream %d (%s) delivered rate stepped down to %.2f instead of suspending", //crasvet:allow hotalloc -- formats once per ladder move, not per cycle
@@ -221,7 +221,7 @@ func (s *Server) ladderStepDown(st *stream, now sim.Time) bool {
 
 // ladderPromoteStep runs once per scheduler cycle: the first Healthy
 // reduced-rate stream (in open order) that has held its rung for
-// RecoverCycles is offered the rung above, if admission has room. One
+// recoverCycles is offered the rung above, if admission has room. One
 // attempt per cycle keeps recovery paced — capacity that reappears is
 // handed back a rung at a time, never as a thundering rebound.
 func (s *Server) ladderPromoteStep(now sim.Time) {
@@ -233,7 +233,7 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 			st.src != nil || st.health != Healthy || st.dr >= 1-1e-9 {
 			continue
 		}
-		if s.cycle-st.stepCycle < s.cfg.Recovery.RecoverCycles {
+		if s.cycle-st.stepCycle < recoverCycles {
 			continue
 		}
 		next, ok := s.ladderAbove(st.dr)

@@ -347,7 +347,7 @@ func TestVCRSetRateLadderDescentUnderMemoryPressure(t *testing.T) {
 				t.Error("ladderStepDown stepped below the bottom rung")
 			}
 
-			// The promotion pass runs every RecoverCycles but the budget
+			// The promotion pass runs every recoverCycles but the budget
 			// still refuses the 0.75 rung at 2x: the stream keeps its rung.
 			sleepRenewing(th, 10*time.Second, h)
 			if got := h.DeliveredRate(); got != 0.5 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
@@ -275,7 +276,7 @@ func runVCRSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 					v.stop, v.excused = true, true
 					t.Logf("op %d @%v: crash stream %d (cached=%v member=%v)",
 						op, b.k.Now(), v.h.st.id, v.h.CacheBacked(), v.h.MulticastMember())
-					b.cras.evict(v.h.st, "property-suite crash")
+					b.cras.evict(v.h.st, health.ClientGone, 0)
 				}
 				th.Sleep(time.Duration(150+rng.Intn(300)) * time.Millisecond)
 				checkVCRInvariants(t, b, rungs, &paused, seed, seq, op)

@@ -213,7 +213,7 @@ func TestVCRReducedDeliveredRate(t *testing.T) {
 // Under admission pressure with a rate ladder configured, an open that
 // would be refused at full delivered rate is admitted a rung down
 // (reduced-rate warm-up), and once capacity frees up the ladder promotes
-// it back to full rate, one rung per RecoverCycles.
+// it back to full rate, one rung per recoverCycles.
 func TestVCRLadderWarmupOpenAndRecovery(t *testing.T) {
 	movies := map[string]*media.StreamInfo{}
 	var infos []*media.StreamInfo
@@ -258,7 +258,7 @@ func TestVCRLadderWarmupOpenAndRecovery(t *testing.T) {
 			}
 
 			// Free the capacity: the ladder must walk the survivor back to
-			// full rate, one rung per RecoverCycles (8 cycles = 4s each).
+			// full rate, one rung per recoverCycles (8 cycles = 4s each).
 			for _, h := range handles {
 				h.Close(th)
 			}

@@ -303,9 +303,11 @@ func (v *Volume) VerifyParity() int64 {
 // the completions into the caller's Data, XOR-reconstructing any units held
 // by a dead member. A read with nil Data is timing-only on every survivor.
 // The caller's Done fires once, after the last fragment, exactly as for
-// RAID-0.
+// RAID-0. The gather follows the plan: a member that dies or is revived
+// while the read is in flight does not change which units were read.
 func (v *Volume) submitParityRead(r *Request) {
 	frags, _ := v.ReadFragments(r.LBA, r.Count)
+	dead := v.DeadMember()
 	r.Submitted = v.disks[0].eng.Now()
 	ss := v.geo.SectorSize
 	memberFrag := make([]Frag, len(v.disks))
@@ -331,7 +333,7 @@ func (v *Volume) submitParityRead(r *Request) {
 					return
 				}
 				if r.Err == nil && r.Data != nil {
-					v.gatherParity(r, memberFrag, memberBuf)
+					v.gatherParity(r, dead, memberFrag, memberBuf)
 				}
 				if r.Done != nil {
 					var out []byte
@@ -352,12 +354,12 @@ func (v *Volume) submitParityRead(r *Request) {
 
 // gatherParity de-interleaves the member reads into the caller's buffer,
 // XORing the survivors' row units together wherever the unit's home member
-// is dead.
-func (v *Volume) gatherParity(r *Request, memberFrag []Frag, memberBuf [][]byte) {
+// was dead when the read was planned.
+func (v *Volume) gatherParity(r *Request, dead int, memberFrag []Frag, memberBuf [][]byte) {
 	ss := int64(v.geo.SectorSize)
 	v.forEachUnit(r.LBA, r.Count, func(d int, dlba int64, sectors int, off int64) {
 		dst := r.Data[off*ss : (off+int64(sectors))*ss]
-		if !v.dead[d] {
+		if d != dead {
 			src := memberBuf[d]
 			lo := (dlba - memberFrag[d].LBA) * ss
 			copy(dst, src[lo:lo+int64(sectors)*ss])
@@ -365,7 +367,7 @@ func (v *Volume) gatherParity(r *Request, memberFrag []Frag, memberBuf [][]byte)
 		}
 		clear(dst) // the caller's buffer may hold anything
 		for m := range v.disks {
-			if m == d || v.dead[m] {
+			if m == d {
 				continue
 			}
 			lo := (dlba - memberFrag[m].LBA) * ss
