@@ -6,9 +6,9 @@
 // failures observed in one cycle or heartbeat. Subjects differ only in
 // data: a Rule's thresholds and the causes its moves report.
 //
-// Every move carries a typed Cause and one count instead of a formatted
-// string, so no transition formats anything; Reason renders the familiar
-// text only when a trace line or a test prints it.
+// Every move carries a typed Cause and one count, so no transition formats
+// anything; Reason renders the text only when a trace line or a test
+// prints it.
 package health
 
 import (
