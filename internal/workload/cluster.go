@@ -88,16 +88,16 @@ func LaunchClusterViewers(c *cluster.Cluster, paths []string, rng *sim.RNG,
 func playClusterViewer(c *cluster.Cluster, th *rtm.Thread, s *cluster.Session,
 	out *ClusterViewerOutcome, cfg ClusterViewerConfig) {
 	info := s.Info()
-	if err := s.Start(th); err != nil {
-		out.lose(0, out.Frames)
-		s.Close(th)
-		return
-	}
 	frames := len(info.Chunks)
 	if cfg.MaxFrames > 0 && cfg.MaxFrames < frames {
 		frames = cfg.MaxFrames
 	}
 	out.Frames = frames
+	if err := s.Start(th); err != nil {
+		out.lose(0, out.Frames)
+		s.Close(th)
+		return
+	}
 	giveUp := cfg.GiveUp
 	if giveUp == 0 && frames > 0 {
 		giveUp = 5 * info.Chunks[0].Duration

@@ -28,100 +28,124 @@ func failReadsAfter(m *lab.Machine, at sim.Time) {
 	}
 }
 
-// checkLostAt requires losses (so the check is not vacuous) and one LostAt
-// entry per lost frame from every player of a launcher.
-func checkLostAt(t *testing.T, launcher string, lost []int, lostAt [][]int) {
+// played is one viewer's record as the accounting checks see it.
+type played struct {
+	stats  *PlayerStats
+	window int  // frames the viewer was due: the title or MaxFrames
+	seeks  bool // scripted to reposition, so Frames need not match window
+	paced  bool // the record carries a span to check the pacing against
+}
+
+// checkAccounting requires losses (so the check is not vacuous) and, for
+// every viewer of a launcher: one LostAt entry per lost frame, every frame
+// it was due either obtained or lost, the whole window accounted for by a
+// viewer that never repositions, and losses after a stopped clock paced at
+// the frame cadence rather than counted off in zero time.
+func checkAccounting(t *testing.T, launcher string, frameDur sim.Time, viewers []played) {
 	t.Helper()
 	total := 0
-	for i := range lost {
-		total += lost[i]
-		if len(lostAt[i]) != lost[i] {
-			t.Errorf("%s player %d: Lost %d, %d LostAt entries", launcher, i, lost[i], len(lostAt[i]))
+	for i, v := range viewers {
+		ps := v.stats
+		total += ps.Lost
+		if len(ps.LostAt) != ps.Lost {
+			t.Errorf("%s viewer %d: Lost %d, %d LostAt entries", launcher, i, ps.Lost, len(ps.LostAt))
+		}
+		if ps.Obtained+ps.Lost != ps.Frames {
+			t.Errorf("%s viewer %d: obtained %d + lost %d != %d frames", launcher, i, ps.Obtained, ps.Lost, ps.Frames)
+		}
+		if v.seeks {
+			continue
+		}
+		if ps.Frames != v.window {
+			t.Errorf("%s viewer %d: accounted for %d of its %d frames", launcher, i, ps.Frames, v.window)
+		}
+		if v.paced && ps.Obtained > 0 && ps.Span < sim.Time(ps.Frames-1)*frameDur {
+			t.Errorf("%s viewer %d: %d frames took %v, less than their %v of play time",
+				launcher, i, ps.Frames, ps.Span, sim.Time(ps.Frames-1)*frameDur)
 		}
 	}
-	t.Logf("%s: %d lost over %d players", launcher, total, len(lost))
+	t.Logf("%s: %d lost over %d viewers", launcher, total, len(viewers))
 	if total == 0 {
 		t.Errorf("%s: no frame lost under failing reads; the check is vacuous", launcher)
 	}
 }
 
-// TestLostAtMatchesLost: every launcher records one LostAt frame index per
-// frame it counts in Lost.
+// TestLostAtMatchesLost: under failing reads, every launcher's viewers
+// account for every frame they were due, record one LostAt frame index per
+// lost frame, and keep losing at the frame cadence once the clock stops.
 func TestLostAtMatchesLost(t *testing.T) {
 	movie := media.MPEG1().Generate("/m", 6*time.Second)
+	frameDur := movie.Chunks[0].Duration
 	infos, paths := []*media.StreamInfo{movie}, []string{"/m"}
 	// The Unix player reads through the file system, past the real-time
 	// queue: it loses the frames its chunk table places beyond the end of
 	// the stored file.
 	longer := media.MPEG1().Generate("/m", 8*time.Second)
 	const failAt = 2 * time.Second
-	player := PlayerConfig{MaxFrames: 150}
+	const window = 150
+	player := PlayerConfig{MaxFrames: window}
 
-	machine := func(noCRAS bool, launch func(m *lab.Machine) []*PlayerStats) []*PlayerStats {
-		var stats []*PlayerStats
+	machine := func(noCRAS bool, launch func(m *lab.Machine) []played) []played {
+		var viewers []played
 		m := lab.Build(lab.Setup{
 			Seed: 1, DiskCylinders: 600, NoCRAS: noCRAS,
 			Movies: []lab.Movie{{Path: "/m", Info: movie}},
 		}, func(m *lab.Machine) {
 			failReadsAfter(m, failAt)
-			stats = launch(m)
+			viewers = launch(m)
 		})
 		m.Run(30 * time.Second)
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return stats
+		return viewers
 	}
-	viewers := func(outs []*ViewerOutcome) []*PlayerStats {
-		var stats []*PlayerStats
+	viewers := func(outs []*ViewerOutcome) []played {
+		var vs []played
 		for _, o := range outs {
-			stats = append(stats, &o.Stats)
+			vs = append(vs, played{stats: &o.Stats, window: window, paced: true})
 		}
-		return stats
+		return vs
 	}
 	for _, tc := range []struct {
 		name   string
 		noCRAS bool
-		launch func(m *lab.Machine) []*PlayerStats
+		launch func(m *lab.Machine) []played
 	}{
-		{"CRASPlayer", false, func(m *lab.Machine) []*PlayerStats {
+		{"CRASPlayer", false, func(m *lab.Machine) []played {
 			var ps PlayerStats
 			CRASPlayer(m.Kernel, m.CRAS, movie, "/m", core.OpenOptions{}, player, &ps)
-			return []*PlayerStats{&ps}
+			return []played{{stats: &ps, window: window, paced: true}}
 		}},
-		{"UFSPlayer", true, func(m *lab.Machine) []*PlayerStats {
+		{"UFSPlayer", true, func(m *lab.Machine) []played {
 			var ps PlayerStats
 			UFSPlayer(m.Kernel, m.Unix, longer, "/m", time.Second, PlayerConfig{}, &ps)
-			return []*PlayerStats{&ps}
+			// Its span covers obtained frames only, so pacing goes unchecked.
+			return []played{{stats: &ps, window: len(longer.Chunks)}}
 		}},
-		{"CrashingViewer", false, func(m *lab.Machine) []*PlayerStats {
+		{"CrashingViewer", false, func(m *lab.Machine) []played {
 			var ps PlayerStats
 			CrashingViewer(m.Kernel, m.CRAS, movie, "/m", 4*time.Second, player, &ps)
-			return []*PlayerStats{&ps}
+			return []played{{stats: &ps, seeks: true}}
 		}},
-		{"LaunchZipfViewers", false, func(m *lab.Machine) []*PlayerStats {
+		{"LaunchZipfViewers", false, func(m *lab.Machine) []played {
 			return viewers(LaunchZipfViewers(m.Kernel, m.CRAS, infos, paths, m.Eng.RNG("zipf"),
 				ZipfViewerConfig{Clients: 3, Alpha: 1, ArrivalSpread: time.Second, Player: player}))
 		}},
-		{"LaunchBatchedViewers", false, func(m *lab.Machine) []*PlayerStats {
+		{"LaunchBatchedViewers", false, func(m *lab.Machine) []played {
 			return viewers(LaunchBatchedViewers(m.Kernel, m.CRAS, infos, paths, m.Eng.RNG("batch"),
 				BatchedViewerConfig{Clients: 3, Alpha: 1, WaveSpread: time.Second, Player: player}))
 		}},
-		{"LaunchVCRViewers", false, func(m *lab.Machine) []*PlayerStats {
-			var stats []*PlayerStats
+		{"LaunchVCRViewers", false, func(m *lab.Machine) []played {
+			var vs []played
 			for _, o := range LaunchVCRViewers(m.Kernel, m.CRAS, infos, paths, m.Eng.RNG("vcr"),
 				VCRViewerConfig{Clients: 3, Alpha: 1, ArrivalSpread: time.Second, Player: player}) {
-				stats = append(stats, &o.Stats)
+				vs = append(vs, played{stats: &o.Stats, window: window, paced: true, seeks: o.Kind != "plain"})
 			}
-			return stats
+			return vs
 		}},
 	} {
-		stats := machine(tc.noCRAS, tc.launch)
-		lost, lostAt := make([]int, len(stats)), make([][]int, len(stats))
-		for i, ps := range stats {
-			lost[i], lostAt[i] = ps.Lost, ps.LostAt
-		}
-		checkLostAt(t, tc.name, lost, lostAt)
+		checkAccounting(t, tc.name, frameDur, machine(tc.noCRAS, tc.launch))
 	}
 
 	var outs []*ClusterViewerOutcome
@@ -134,12 +158,14 @@ func TestLostAtMatchesLost(t *testing.T) {
 			failReadsAfter(c.Machine(id), failAt)
 		}
 		outs = LaunchClusterViewers(c, paths, c.Engine().RNG("cluster"),
-			ClusterViewerConfig{Clients: 3, Alpha: 1, ArrivalSpread: time.Second, MaxFrames: 150})
+			ClusterViewerConfig{Clients: 3, Alpha: 1, ArrivalSpread: time.Second, MaxFrames: window})
 	})
 	c.Run(30 * time.Second)
-	lost, lostAt := make([]int, len(outs)), make([][]int, len(outs))
-	for i, o := range outs {
-		lost[i], lostAt[i] = o.Lost, o.LostAt
+	var vs []played
+	for _, o := range outs {
+		// The cluster outcome records no span, so pacing goes unchecked.
+		ps := &PlayerStats{Frames: o.Frames, Obtained: o.Obtained, Lost: o.Lost, LostAt: o.LostAt}
+		vs = append(vs, played{stats: ps, window: window})
 	}
-	checkLostAt(t, "LaunchClusterViewers", lost, lostAt)
+	checkAccounting(t, "LaunchClusterViewers", frameDur, vs)
 }

@@ -157,12 +157,20 @@ func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 		frameDur = info.Chunks[0].Duration
 	}
 	cfg.fill(frameDur)
-	if err := h.Start(th); err != nil {
-		return
-	}
 	frames := len(info.Chunks)
 	if cfg.MaxFrames > 0 && cfg.MaxFrames < frames {
 		frames = cfg.MaxFrames
+	}
+	// forfeit counts the rest of the window lost when the session ends.
+	forfeit := func(i int) {
+		for ; i < frames; i++ {
+			stats.lose(i)
+			stats.Frames++
+		}
+	}
+	if err := h.Start(th); err != nil {
+		forfeit(0)
+		return
 	}
 	begin := sim.Time(-1)
 	sinceOp := 0
@@ -221,7 +229,14 @@ func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 		c := info.Chunks[i]
 		due := h.ClockStartsAt(c.Timestamp)
 		if due < 0 {
-			return // clock stopped under us: suspended or evicted
+			// Clock stopped under us (suspended or evicted): count the frame
+			// lost and move on at the frame cadence.
+			stats.lose(i)
+			stats.Frames++
+			sinceOp++
+			th.Sleep(c.Duration)
+			stats.Span = k.Now() - begin
+			continue
 		}
 		if begin < 0 {
 			begin = due

@@ -115,14 +115,17 @@ func playViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 		frameDur = info.Chunks[0].Duration
 	}
 	cfg.fill(frameDur)
-	if err := h.Start(th); err != nil {
-		return
-	}
 	frames := len(info.Chunks)
 	if cfg.MaxFrames > 0 && cfg.MaxFrames < frames {
 		frames = cfg.MaxFrames
 	}
 	stats.Frames = frames
+	if err := h.Start(th); err != nil {
+		for i := 0; i < frames; i++ {
+			stats.lose(i)
+		}
+		return
+	}
 	begin := sim.Time(-1)
 	for i := 0; i < frames; i++ {
 		c := info.Chunks[i]
@@ -130,7 +133,15 @@ func playViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 		if begin < 0 {
 			begin = due
 		}
-		if due >= 0 && k.Now() < due {
+		if due < 0 {
+			// Clock stopped: the frame will not come due; count it lost and
+			// move on at the frame cadence.
+			stats.lose(i)
+			th.Sleep(c.Duration)
+			stats.Span = k.Now() - begin
+			continue
+		}
+		if k.Now() < due {
 			th.SleepUntil(due)
 		}
 		// The wait budget anchors to the due time, so a run of lost frames
