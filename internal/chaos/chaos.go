@@ -8,7 +8,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Campaign shape. The interval is the paper's 500 ms; the initial delay is
@@ -30,7 +30,6 @@ const (
 	interval     = 500 * time.Millisecond
 	initialDelay = 2 * time.Second
 	movieDur     = 6 * time.Second
-	playerGiveUp = 5 // frame durations of per-frame wait budget
 )
 
 // Scenario is one seeded chaos run: a fault configuration against a number
@@ -202,6 +201,25 @@ func (sc Scenario) misbehaves() bool {
 	return sc.CrashAt > 0 || sc.GoSilentAt > 0 || sc.SeekStorm > 0
 }
 
+// leaderOps scripts stream 0's client behaviour: the misbehaviour drill,
+// if any, and the scripted hang-up.
+func (sc Scenario) leaderOps() []workload.Op {
+	var ops []workload.Op
+	if sc.CrashAt > 0 {
+		ops = append(ops, workload.Op{Kind: workload.OpCrash, At: sc.CrashAt})
+	}
+	if sc.GoSilentAt > 0 {
+		ops = append(ops, workload.Op{Kind: workload.OpSilent, At: sc.GoSilentAt, Pause: sc.PauseFirst})
+	}
+	if sc.SeekStorm > 0 {
+		ops = append(ops, workload.Op{Kind: workload.OpStorm, At: sc.StormAt, N: sc.SeekStorm, Scatter: sc.StormScatter})
+	}
+	if sc.LeaderCloseAt > 0 {
+		ops = append(ops, workload.Op{Kind: workload.OpHangUp, At: sc.LeaderCloseAt})
+	}
+	return ops
+}
+
 // ReplayEnv returns the environment assignments (trailing space included)
 // a replay command needs in front of `go run`: scenarios that exercise the
 // multicast or cluster layers pin the matching property-test seeds, so the
@@ -249,8 +267,7 @@ type Result struct {
 	MemberIO     []disk.Stats
 
 	// Open-flood outcome split (OpenFlood scenarios only).
-	FloodAdmitted   int
-	FloodTurnedAway int
+	Flood workload.FloodStats
 
 	// Cluster campaign record (Cluster > 0 scenarios).
 	ClusterStats cluster.Stats
@@ -266,21 +283,36 @@ func (r *Result) violate(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-// playerState is the live view a player thread fills in.
-type playerState struct {
-	h        *core.Handle
-	path     string
-	obtained int
-	lost     int
-	done     bool
-	closeAt  sim.Time // nonzero: hang up at this time instead of finishing
-	closed   bool
-	crashAt  sim.Time // nonzero: die without closing (client crash)
-	silentAt sim.Time // nonzero: stop consuming but leave the session open
-	pause1st bool     // pause the session right before going silent
-	stormAt  sim.Time // nonzero: fire stormN seeks at this time
-	stormN   int
-	scatter  bool // storm seeks scrub across the title instead of no-oping
+// play runs one player thread: workload.Play over the session the control
+// thread opened, filling out.
+func play(k *rtm.Kernel, name string, s workload.Session, out *workload.Outcome) {
+	k.NewThread(name, rtm.PrioRTLow, 0, func(th *rtm.Thread) {
+		defer func() { out.Stats.Done = true }()
+		workload.Play(k, th, s, out.Ops, workload.PlayerConfig{}, &out.Stats)
+	})
+}
+
+func allDone(outs []*workload.Outcome) bool {
+	for _, o := range outs {
+		if !o.Stats.Done {
+			return false
+		}
+	}
+	return true
+}
+
+// checkPlayer turns what a player recorded into violations: an error that
+// ended its session, a refused scripted op, or an expired chunk delivered.
+func (r *Result) checkPlayer(path string, st *workload.PlayerStats) {
+	if st.Err != nil {
+		r.violate("%s: %v", path, st.Err)
+	}
+	if st.Refusals > 0 {
+		r.violate("%s: %d scripted operations refused", path, st.Refusals)
+	}
+	if st.Expired > 0 {
+		r.violate("%s: %d expired chunks delivered", path, st.Expired)
+	}
 }
 
 // Run executes one scenario to completion and checks its invariants.
@@ -317,18 +349,12 @@ func Run(sc Scenario) *Result {
 		movies = append(movies, lab.Movie{Path: paths[i], Info: infos[i]})
 	}
 
-	players := make([]*playerState, sc.Streams)
-	for i := range players {
-		players[i] = &playerState{path: paths[i]}
+	handles := make([]*core.Handle, sc.Streams)
+	outs := make([]*workload.Outcome, sc.Streams)
+	for i := range outs {
+		outs[i] = &workload.Outcome{}
 	}
-	if sc.LeaderCloseAt > 0 {
-		players[0].closeAt = sc.LeaderCloseAt
-	}
-	players[0].crashAt = sc.CrashAt
-	players[0].silentAt = sc.GoSilentAt
-	players[0].pause1st = sc.PauseFirst
-	players[0].stormAt, players[0].stormN = sc.StormAt, sc.SeekStorm
-	players[0].scatter = sc.StormScatter
+	outs[0].Ops = sc.leaderOps()
 
 	var model *disk.FaultModel
 	var serverStart sim.Time
@@ -395,11 +421,7 @@ func Run(sc Scenario) *Result {
 		}
 		m.App("chaos.ctl", rtm.PrioRTLow, 0, func(th *rtm.Thread) {
 			spawn := func(i int) {
-				ps := players[i]
-				info := infos[i]
-				m.Kernel.NewThread(fmt.Sprintf("chaos.play%d:%s", i, ps.path), rtm.PrioRTLow, 0, func(pt *rtm.Thread) {
-					playStream(m, pt, ps, info, res)
-				})
+				play(m.Kernel, fmt.Sprintf("chaos.play%d:%s", i, paths[i]), handles[i], outs[i])
 			}
 			open := func(i int) bool {
 				h, err := m.CRAS.Open(th, infos[i], paths[i], core.OpenOptions{})
@@ -407,7 +429,7 @@ func Run(sc Scenario) *Result {
 					res.violate("open %s: %v", paths[i], err)
 					return false
 				}
-				players[i].h = h
+				handles[i] = h
 				return true
 			}
 			// Open stream 0 first: the victim region is carved from its
@@ -421,7 +443,7 @@ func Run(sc Scenario) *Result {
 			fcfg := sc.Faults
 			fcfg.RTOnly = true
 			if sc.Victim {
-				ext := players[0].h.ExtentMap().Extents
+				ext := handles[0].ExtentMap().Extents
 				from, last := ext[1], ext[len(ext)-1]
 				if len(sc.RateLadder) > 0 && len(ext) > 4 {
 					// The ladder must outlast the region, not the other way
@@ -466,7 +488,7 @@ func Run(sc Scenario) *Result {
 			model = disk.NewFaultModel(m.Eng.RNG("chaos:faults"), fcfg)
 			m.Vol.Disk(sc.FaultDisk).SetFaultModel(model)
 			spawn(0)
-			for i := 1; i < len(players); i++ {
+			for i := 1; i < len(outs); i++ {
 				if (sc.Share || sc.Multicast) && sc.StaggerOpen > 0 {
 					th.Sleep(sc.StaggerOpen)
 				}
@@ -477,20 +499,7 @@ func Run(sc Scenario) *Result {
 			}
 			if sc.OpenFlood > 0 {
 				th.SleepUntil(serverStart + sim.Time(time.Second))
-				for f := 0; f < sc.OpenFlood; f++ {
-					m.Kernel.NewThread(fmt.Sprintf("chaos.flood%d", f), rtm.PrioTS, 0, func(ft *rtm.Thread) {
-						h, err := m.CRAS.Open(ft, infos[0], paths[0], core.OpenOptions{})
-						switch {
-						case err == nil:
-							res.FloodAdmitted++
-							h.Close(ft)
-						case errors.Is(err, core.ErrOverloaded):
-							res.FloodTurnedAway++
-						default:
-							res.violate("flood open failed with untyped error: %v", err)
-						}
-					})
-				}
+				workload.OpenFlooder(m.Kernel, m.CRAS, infos[0], paths[0], sc.OpenFlood, 0, &res.Flood)
 			}
 			if sc.KillAt > 0 {
 				// Member death, mid-play: a whole-member bad region makes
@@ -523,7 +532,7 @@ func Run(sc Scenario) *Result {
 	horizon := sim.Time(dur + initialDelay + 20*time.Second)
 	for ran := sim.Time(0); ran < horizon; ran += interval {
 		m.Run(interval)
-		if allDone(players) {
+		if allDone(outs) {
 			break
 		}
 	}
@@ -551,15 +560,15 @@ func Run(sc Scenario) *Result {
 	if model != nil {
 		res.Faults = model.Stats()
 	}
-	for _, ps := range players {
-		out := PlayerOutcome{Path: ps.path, Frames: len(infos[0].Chunks), Obtained: ps.obtained, Lost: ps.lost}
-		if ps.h != nil {
-			out.Health = ps.h.Health()
+	for i, o := range outs {
+		p := PlayerOutcome{Path: paths[i], Frames: len(infos[0].Chunks), Obtained: o.Stats.Obtained, Lost: o.Stats.Lost}
+		if handles[i] != nil {
+			p.Health = handles[i].Health()
 		}
-		res.Players = append(res.Players, out)
+		res.Players = append(res.Players, p)
 	}
 
-	res.checkInvariants(m, players)
+	res.checkInvariants(m, handles, outs)
 	return res
 }
 
@@ -572,117 +581,16 @@ func membersAllHealthy(hs []core.MemberHealth) bool {
 	return true
 }
 
-func allDone(players []*playerState) bool {
-	for _, ps := range players {
-		if !ps.done {
-			return false
-		}
-	}
-	return true
-}
-
-// playStream consumes one stream frame by frame, recording deliveries and
-// checking the freshness invariant on every obtained chunk.
-func playStream(m *lab.Machine, pt *rtm.Thread, ps *playerState, info *media.StreamInfo, res *Result) {
-	defer func() { ps.done = true }()
-	h := ps.h
-	if err := h.Start(pt); err != nil {
-		res.violate("%s: start: %v", ps.path, err)
-		return
-	}
-	for i := range info.Chunks {
-		if ps.crashAt > 0 && m.Kernel.Now() >= ps.crashAt {
-			// The client dies without closing: the kernel reclaims its
-			// ports and the server must find out via dead-name.
-			h.Crash()
-			return
-		}
-		if ps.silentAt > 0 && m.Kernel.Now() >= ps.silentAt {
-			// The client stops consuming and renewing but leaves the
-			// session open; reclaiming it is the lease reaper's job. With
-			// pause1st it freezes the frame on its way out — the paused
-			// session holds pinned buffers and a paused admission slot, and
-			// must be reaped through the very same path.
-			if ps.pause1st {
-				if err := h.Pause(pt); err != nil {
-					res.violate("%s: pause before going silent: %v", ps.path, err)
-				}
-			}
-			return
-		}
-		if ps.stormN > 0 && m.Kernel.Now() >= ps.stormAt {
-			n := ps.stormN
-			ps.stormN = 0
-			for k := 0; k < n; k++ {
-				target := h.LogicalNow()
-				if ps.scatter {
-					// A scrubbing viewer: hop across the title, every landing
-					// a real re-admission. The frames it scrubs past are its
-					// own to lose; peers must not notice.
-					target = info.TotalDuration() * sim.Time(k%8) / 8
-				}
-				if err := h.Seek(pt, target); err != nil {
-					res.violate("%s: seek %d of storm refused: %v", ps.path, k, err)
-					return
-				}
-			}
-		}
-		if ps.closeAt > 0 && m.Kernel.Now() >= ps.closeAt {
-			// Scenario says hang up mid-movie (a leader quitting under its
-			// followers); the frames never played are not losses.
-			if err := h.Close(pt); err != nil {
-				res.violate("%s: close: %v", ps.path, err)
-			}
-			ps.closed = true
-			return
-		}
-		c := info.Chunks[i]
-		due := h.ClockStartsAt(c.Timestamp)
-		if due < 0 {
-			// Clock frozen: the stream was suspended or stopped. The frame
-			// will never come due; count it lost and move on at the frame
-			// cadence rather than spinning.
-			ps.lost++
-			pt.Sleep(c.Duration)
-			continue
-		}
-		if m.Kernel.Now() < due {
-			pt.SleepUntil(due)
-		}
-		limit := due + playerGiveUp*c.Duration
-		for {
-			if got, ok := h.Get(c.Timestamp); ok {
-				// Invariant: the buffer never hands out an expired chunk —
-				// whatever Get returns must cover the requested time.
-				if got.Timestamp > c.Timestamp || c.Timestamp >= got.Timestamp+got.Duration {
-					res.violate("%s: frame %d: expired chunk delivered: asked t=%v, got [%v,%v)",
-						ps.path, i, c.Timestamp, got.Timestamp, got.Timestamp+got.Duration)
-				}
-				ps.obtained++
-				break
-			}
-			if m.Kernel.Now() >= limit {
-				ps.lost++
-				break
-			}
-			pt.Sleep(2 * time.Millisecond)
-		}
-	}
-	// A well-behaved client hangs up when the movie ends. The close may
-	// lose the race against a ladder eviction or the drain deadline — that
-	// duplicate-close error is not the player's problem.
-	h.Close(pt)
-}
-
 // checkInvariants fills Result.Violations from the campaign's assertions.
-func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
+func (r *Result) checkInvariants(m *lab.Machine, handles []*core.Handle, outs []*workload.Outcome) {
 	// Every player ran to completion: a wedged scheduler starves the
 	// buffers and the players' bounded waits would still finish, so the
 	// direct wedge signal is a player that never exited its loop.
-	for _, ps := range players {
-		if !ps.done {
-			r.violate("%s: player never finished (scheduler wedged?)", ps.path)
+	for i, o := range outs {
+		if !o.Stats.Done {
+			r.violate("%s: player never finished (scheduler wedged?)", r.Players[i].Path)
 		}
+		r.checkPlayer(r.Players[i].Path, &o.Stats)
 	}
 
 	// The periodic scheduler kept its cadence for the whole run — or, when
@@ -753,7 +661,7 @@ func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
 			r.violate("leader failed over a bad region but no follower fell back to disk")
 		}
 		if r.Scenario.LeaderCloseAt > 0 {
-			if !players[0].closed {
+			if outs[0].Stats.Fired == 0 {
 				r.violate("leader never closed at %v as scripted", r.Scenario.LeaderCloseAt)
 			}
 			if r.Server.CachePromotions == 0 && r.Server.CacheFallbacks == 0 {
@@ -762,7 +670,7 @@ func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
 		}
 	}
 
-	r.checkVCR(m, players)
+	r.checkVCR(m, handles[0])
 
 	for i, p := range r.Players {
 		if r.Scenario.Victim && i == 0 && !r.Scenario.Parity {
@@ -794,7 +702,7 @@ func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
 // costs only its issuer, a paused-then-silent session is reaped with its
 // pins, and over a bad region the delivered-rate ladder steps down instead
 // of suspending and recovers once past it.
-func (r *Result) checkVCR(m *lab.Machine, players []*playerState) {
+func (r *Result) checkVCR(m *lab.Machine, h *core.Handle) {
 	sc := r.Scenario
 	if sc.StormScatter && sc.SeekStorm > 0 {
 		if r.Server.Seeks < sc.SeekStorm {
@@ -804,7 +712,7 @@ func (r *Result) checkVCR(m *lab.Machine, players []*playerState) {
 		// The scrubber pays for its own scrubbing; the peers' zero frames
 		// lost is the ZeroLoss assertion below. The issuer must still end
 		// the run a live, healthy session — scrubbing is use, not abuse.
-		if h := players[0].h; h != nil && h.Health() != core.Healthy {
+		if h != nil && h.Health() != core.Healthy {
 			r.violate("scrubbing viewer ended %v; repositioning must not walk the ladder", h.Health())
 		}
 	}
@@ -835,7 +743,7 @@ func (r *Result) checkVCR(m *lab.Machine, players []*playerState) {
 		if r.Server.RateStepUps == 0 {
 			r.violate("stream never recovered a rung after the region ended")
 		}
-		if h := players[0].h; h != nil {
+		if h != nil {
 			if h.Health() != core.Healthy {
 				r.violate("victim ended %v under the ladder; want recovery to Healthy", h.Health())
 			}
@@ -880,9 +788,9 @@ func (r *Result) checkMulticast() {
 		// The flood hammers the one hot path; however many one-shot clients
 		// trickle through admission, they must batch onto the playing title's
 		// group generations rather than mint a group per open.
-		if bound := 2 + r.FloodAdmitted/2; r.Server.MulticastGroups > bound {
+		if bound := 2 + r.Flood.Admitted/2; r.Server.MulticastGroups > bound {
 			r.violate("open flood minted %d multicast groups (%d admitted; want <= %d)",
-				r.Server.MulticastGroups, r.FloodAdmitted, bound)
+				r.Server.MulticastGroups, r.Flood.Admitted, bound)
 		}
 	}
 }
@@ -998,13 +906,17 @@ func (r *Result) checkMisbehavior(m *lab.Machine) {
 		}
 	}
 	if sc.OpenFlood > 0 {
-		if got := r.FloodAdmitted + r.FloodTurnedAway; got != sc.OpenFlood {
-			r.violate("flood outcomes %d (admitted %d + turned away %d) != %d launched",
-				got, r.FloodAdmitted, r.FloodTurnedAway, sc.OpenFlood)
+		f := r.Flood
+		if f.Refused != 0 {
+			r.violate("%d flood opens failed with an untyped error", f.Refused)
 		}
-		if r.FloodAdmitted == 0 || r.FloodAdmitted > 8 {
+		if got := f.Admitted + f.Shed; got != sc.OpenFlood {
+			r.violate("flood outcomes %d (admitted %d + turned away %d) != %d launched",
+				got, f.Admitted, f.Shed, sc.OpenFlood)
+		}
+		if f.Admitted == 0 || f.Admitted > 8 {
 			r.violate("flood admitted %d of %d; want a trickle bounded by the budget",
-				r.FloodAdmitted, sc.OpenFlood)
+				f.Admitted, sc.OpenFlood)
 		}
 		if r.Server.RequestsShed == 0 {
 			r.violate("open flood produced no shed requests")

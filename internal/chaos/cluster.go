@@ -11,75 +11,8 @@ import (
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
-
-// clusterPlayer is one viewer against the sharded front door. It mirrors
-// playerState one layer up: deadlines are recomputed every wait step, so a
-// mid-play failover (which re-anchors the clock on the replacement node)
-// turns into waiting, not loss, and a refused viewer forfeits the rest of
-// its title honestly.
-type clusterPlayer struct {
-	sess     *cluster.Session
-	path     string
-	info     *media.StreamInfo
-	shared   bool // rode a multicast group or the interval cache at open time
-	obtained int
-	lost     int
-	done     bool
-}
-
-func (p *clusterPlayer) play(c *cluster.Cluster, th *rtm.Thread, res *Result) {
-	defer func() { p.done = true }()
-	if err := p.sess.Start(th); err != nil {
-		res.violate("%s: start: %v", p.path, err)
-		p.lost = len(p.info.Chunks)
-		return
-	}
-	for i := range p.info.Chunks {
-		ch := p.info.Chunks[i]
-		for {
-			if p.sess.Refused() {
-				// The cluster gave this viewer its honest verdict: the rest
-				// of the title is forfeit, and the accounting must say so.
-				p.lost += len(p.info.Chunks) - i
-				p.sess.Close(th)
-				return
-			}
-			due := p.sess.ClockStartsAt(ch.Timestamp)
-			now := c.Kernel().Now()
-			if due < 0 {
-				// Clock frozen (a wedged or dying node): the frame will not
-				// come due here; count it lost at the frame cadence and let
-				// the failover catch the session up.
-				p.lost++
-				th.Sleep(ch.Duration)
-				break
-			}
-			if now < due {
-				wait := due - now
-				if wait > 100*time.Millisecond {
-					wait = 100 * time.Millisecond // re-check: a failover may move the deadline
-				}
-				th.Sleep(wait)
-				continue
-			}
-			if got, ok := p.sess.Get(ch.Timestamp); ok {
-				if got.Timestamp > ch.Timestamp || ch.Timestamp >= got.Timestamp+got.Duration {
-					res.violate("%s: frame %d: expired chunk delivered: asked t=%v, got [%v,%v)",
-						p.path, i, ch.Timestamp, got.Timestamp, got.Timestamp+got.Duration)
-				}
-				p.obtained++
-				break
-			}
-			if now >= due+sim.Time(playerGiveUp)*ch.Duration {
-				p.lost++
-				break
-			}
-			th.Sleep(2 * time.Millisecond)
-		}
-	}
-	p.sess.Close(th)
-}
 
 // runCluster executes a Cluster scenario: Streams viewers split between one
 // hot title (batched opens that ride a fan-out group or the interval cache)
@@ -120,7 +53,8 @@ func runCluster(sc Scenario, res *Result) {
 		Movies: movies,
 	}
 
-	var players []*clusterPlayer
+	var sessions []*cluster.Session
+	var outs []*workload.Outcome
 	var clusterStart sim.Time
 	stoppedAtDead := map[int]bool{}
 	faultVictim, kill2Victim := -1, -1
@@ -147,15 +81,10 @@ func runCluster(sc Scenario, res *Result) {
 					res.violate("open %s: %v", paths[i], err)
 					return
 				}
-				p := &clusterPlayer{
-					sess: s, path: paths[i], info: c.Movie(paths[i]),
-					// Sampled at open time: idle sharing is reaped later.
-					shared: s.MulticastMember() || s.CacheBacked(),
-				}
-				players = append(players, p)
-				c.Kernel().NewThread(fmt.Sprintf("chaos.view%d:%s", i, paths[i]), rtm.PrioRTLow, 0, func(vt *rtm.Thread) {
-					p.play(c, vt, res)
-				})
+				// Sharing is sampled at open time: idle sharing is reaped later.
+				out := &workload.Outcome{CacheBacked: s.CacheBacked(), Multicast: s.MulticastMember()}
+				sessions, outs = append(sessions, s), append(outs, out)
+				play(c.Kernel(), fmt.Sprintf("chaos.view%d:%s", i, paths[i]), s, out)
 				if i+1 < nHot {
 					th.Sleep(200 * time.Millisecond) // keep the hot opens inside the batch window
 				}
@@ -173,11 +102,11 @@ func runCluster(sc Scenario, res *Result) {
 				return
 			}
 			th.SleepUntil(clusterStart + faultAt)
-			if len(players) == 0 {
+			if len(sessions) == 0 {
 				res.violate("node fault scheduled at %v but no viewer had opened", faultAt)
 				return
 			}
-			victim := players[0].sess.NodeID()
+			victim := sessions[0].NodeID()
 			faultVictim = victim
 			switch {
 			case sc.NodeKillAt > 0:
@@ -218,7 +147,7 @@ func runCluster(sc Scenario, res *Result) {
 	horizon := dur + initialDelay + 30*time.Second
 	for ran := sim.Time(0); ran < horizon; ran += interval {
 		c.Run(interval)
-		if drainDone && len(players) == sc.Streams && clusterAllDone(players) {
+		if drainDone && len(outs) == sc.Streams && allDone(outs) {
 			break
 		}
 	}
@@ -226,61 +155,54 @@ func runCluster(sc Scenario, res *Result) {
 
 	res.Elapsed = c.Engine().Now() - clusterStart
 	res.ClusterStats = c.Stats()
-	for _, p := range players {
+	for i, o := range outs {
 		res.Players = append(res.Players, PlayerOutcome{
-			Path: p.path, Frames: len(p.info.Chunks), Obtained: p.obtained, Lost: p.lost,
+			Path: paths[i], Frames: len(sessions[i].Info().Chunks), Obtained: o.Stats.Obtained, Lost: o.Stats.Lost,
 		})
 	}
-	res.checkCluster(sc, c, players, nHot, faultVictim, kill2Victim, kill2HadSessions, stoppedAtDead)
-}
-
-func clusterAllDone(players []*clusterPlayer) bool {
-	for _, p := range players {
-		if !p.done {
-			return false
-		}
-	}
-	return true
+	res.checkCluster(sc, c, sessions, outs, nHot, faultVictim, kill2Victim, kill2HadSessions, stoppedAtDead)
 }
 
 // checkCluster is the cluster campaign's invariant block.
-func (r *Result) checkCluster(sc Scenario, c *cluster.Cluster, players []*clusterPlayer,
+func (r *Result) checkCluster(sc Scenario, c *cluster.Cluster, sessions []*cluster.Session, outs []*workload.Outcome,
 	nHot, faultVictim, kill2Victim int, kill2HadSessions bool, stoppedAtDead map[int]bool) {
 
-	if len(players) != sc.Streams {
-		r.violate("only %d of %d viewers opened", len(players), sc.Streams)
+	if len(outs) != sc.Streams {
+		r.violate("only %d of %d viewers opened", len(outs), sc.Streams)
 	}
 	sharedSeen := false
-	for i, p := range players {
-		if !p.done {
-			r.violate("%s: viewer %d never finished (failover lost it?)", p.path, i)
+	for i, p := range r.Players {
+		st, s := &outs[i].Stats, sessions[i]
+		if !st.Done {
+			r.violate("%s: viewer %d never finished (failover lost it?)", p.Path, i)
 		}
-		if got, want := p.obtained+p.lost, len(p.info.Chunks); got != want {
+		r.checkPlayer(p.Path, st)
+		if got := p.Obtained + p.Lost; got != p.Frames {
 			r.violate("%s: viewer %d accounting: obtained %d + lost %d != %d frames",
-				p.path, i, p.obtained, p.lost, want)
+				p.Path, i, p.Obtained, p.Lost, p.Frames)
 		}
-		if p.obtained == 0 {
-			r.violate("%s: viewer %d obtained no frames at all", p.path, i)
+		if p.Obtained == 0 {
+			r.violate("%s: viewer %d obtained no frames at all", p.Path, i)
 		}
-		if sc.ZeroLoss && p.lost != 0 {
-			r.violate("%s: viewer %d lost %d frames in a zero-loss scenario", p.path, i, p.lost)
+		if sc.ZeroLoss && p.Lost != 0 {
+			r.violate("%s: viewer %d lost %d frames in a zero-loss scenario", p.Path, i, p.Lost)
 		}
-		if p.shared {
+		if outs[i].CacheBacked || outs[i].Multicast {
 			sharedSeen = true
 			// The headline contract: a viewer that rode RAM-shared capacity
 			// (fan-out group or interval cache) loses nothing to a node
 			// death or a planned drain. A wedge is exempt — frames freeze
 			// in place until the heartbeat ladder can even see the failure.
-			if sc.NodeWedgeAt == 0 && p.lost != 0 {
-				r.violate("%s: cache/multicast-backed viewer %d lost %d frames", p.path, i, p.lost)
+			if sc.NodeWedgeAt == 0 && p.Lost != 0 {
+				r.violate("%s: cache/multicast-backed viewer %d lost %d frames", p.Path, i, p.Lost)
 			}
 		}
-		if p.sess.Refused() {
-			if p.sess.Stranded() == nil || p.sess.Stranded().RetryAfter <= 0 {
-				r.violate("%s: viewer %d refused without an honest RetryAfter verdict", p.path, i)
+		if s.Refused() {
+			if s.Stranded() == nil || s.Stranded().RetryAfter <= 0 {
+				r.violate("%s: viewer %d refused without an honest RetryAfter verdict", p.Path, i)
 			}
-		} else if p.sess.Orphaned() {
-			r.violate("%s: viewer %d left orphaned with no verdict", p.path, i)
+		} else if s.Orphaned() {
+			r.violate("%s: viewer %d left orphaned with no verdict", p.Path, i)
 		}
 	}
 	if nHot >= 2 && !sharedSeen {

@@ -109,7 +109,7 @@ func runCachePoint(cfg CacheSweepConfig, alpha float64, budget int64) CachePoint
 	}
 
 	frames := int(cfg.Duration / (sim.Time(time.Second) / sim.Time(prof.FrameRate)))
-	var outs []*workload.ViewerOutcome
+	var outs []*workload.Outcome
 	var busy0 sim.Time
 	var start sim.Time
 	m := lab.Build(lab.Setup{
@@ -122,11 +122,10 @@ func runCachePoint(cfg CacheSweepConfig, alpha float64, budget int64) CachePoint
 	}, func(m *lab.Machine) {
 		start = m.Eng.Now()
 		busy0 = m.Disk.Stats().BusyTime // setup I/O is not the sweep's traffic
-		outs = workload.LaunchZipfViewers(m.Kernel, m.CRAS, infos, paths,
-			m.Eng.RNG("cache-sweep"), workload.ZipfViewerConfig{
-				Clients: cfg.Clients, Alpha: alpha, ArrivalSpread: cfg.ArrivalSpread,
-				Player: workload.PlayerConfig{MaxFrames: frames},
-			})
+		outs = workload.Launch(m.Kernel, workload.ServerOpener(m.CRAS, infos, paths),
+			workload.NewScript(m.Eng.RNG("cache-sweep"), len(paths), workload.ScriptConfig{
+				Clients: cfg.Clients, Alpha: alpha, WaveSpread: cfg.ArrivalSpread,
+			}), workload.PlayerConfig{MaxFrames: frames})
 	})
 	horizon := 2*cfg.Duration + cfg.ArrivalSpread + 30*time.Second
 	for ran := sim.Time(0); ran < horizon; ran += time.Second {
@@ -148,6 +147,7 @@ func runCachePoint(cfg CacheSweepConfig, alpha float64, budget int64) CachePoint
 
 	pt := CachePoint{Alpha: alpha, Budget: budget}
 	for _, o := range outs {
+		mustBeFresh(&o.Stats)
 		if !o.Admitted {
 			pt.Rejected++
 			continue

@@ -124,21 +124,20 @@ func runClusterPoint(cfg ClusterSweepConfig, nodes int) ClusterPoint {
 		Movies: movies,
 	}
 
-	var outs []*workload.ClusterViewerOutcome
+	var outs []*workload.Outcome
 	var c *cluster.Cluster
 	c = cluster.New(ccfg, func(c *cluster.Cluster) {
-		outs = workload.LaunchClusterViewers(c, paths,
-			c.Engine().RNG("cluster-sweep"), workload.ClusterViewerConfig{
-				Clients: cfg.Clients, Alpha: cfg.Alpha,
-				ArrivalSpread: cfg.Spread, MaxFrames: frames,
-			})
+		outs = workload.Launch(c.Kernel(), workload.ClusterOpener(c, paths),
+			workload.NewScript(c.Engine().RNG("cluster-sweep"), len(paths), workload.ScriptConfig{
+				Clients: cfg.Clients, Alpha: cfg.Alpha, WaveSpread: cfg.Spread,
+			}), workload.PlayerConfig{MaxFrames: frames})
 	})
 	horizon := cfg.Duration + cfg.Spread + 30*time.Second
 	for ran := sim.Time(0); ran < horizon; ran += time.Second {
 		c.Run(time.Second)
 		done := true
 		for _, o := range outs {
-			if !o.Done {
+			if !o.Stats.Done {
 				done = false
 				break
 			}
@@ -150,15 +149,16 @@ func runClusterPoint(cfg ClusterSweepConfig, nodes int) ClusterPoint {
 
 	pt := ClusterPoint{Nodes: nodes}
 	for _, o := range outs {
+		mustBeFresh(&o.Stats)
 		if !o.Admitted {
 			pt.Rejected++
 			continue
 		}
 		pt.Admitted++
-		if o.Shared {
+		if o.CacheBacked || o.Multicast {
 			pt.Shared++
 		}
-		pt.Lost += o.Lost
+		pt.Lost += o.Stats.Lost
 	}
 	st := c.Stats()
 	pt.PlacementOpens = st.PlacementOpens

@@ -89,6 +89,17 @@ type PlaybackResult struct {
 	admissionRejected int
 }
 
+// mustBeFresh fails the sweep if any player was handed a chunk that did not
+// cover the time it asked for: the buffer's freshness invariant, checked in
+// every run rather than only inside the property suites.
+func mustBeFresh(players ...*workload.PlayerStats) {
+	for i, p := range players {
+		if p.Expired > 0 {
+			panic(fmt.Sprintf("expt: player %d was handed %d expired chunks", i, p.Expired))
+		}
+	}
+}
+
 // TotalThroughput sums delivered bytes/second across players.
 func (r *PlaybackResult) TotalThroughput() float64 {
 	var sum float64
@@ -234,6 +245,7 @@ func RunPlayback(cfg PlaybackConfig) *PlaybackResult {
 	if err := m.Err(); err != nil {
 		panic(err)
 	}
+	mustBeFresh(res.Players...)
 	if cfg.UseCRAS {
 		res.CRASStats = m.CRAS.Stats()
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/media"
+	"repro/internal/workload"
 )
 
 // Shape tests: small-scale versions of each figure that assert the
@@ -341,4 +342,15 @@ func TestOverloadSweepShape(t *testing.T) {
 	if res.Table().String() == "" {
 		t.Error("empty table")
 	}
+}
+
+// A sweep fails outright when a player was handed an expired chunk.
+func TestMustBeFreshPanicsOnExpired(t *testing.T) {
+	mustBeFresh(&workload.PlayerStats{Obtained: 5}) // fresh: no panic
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mustBeFresh accepted a player with expired chunks")
+		}
+	}()
+	mustBeFresh(&workload.PlayerStats{}, &workload.PlayerStats{Obtained: 5, Expired: 1})
 }

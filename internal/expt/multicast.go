@@ -131,7 +131,7 @@ func runMulticastPoint(cfg MulticastSweepConfig, mode string, buffer, cache, pre
 	}
 
 	frames := int(cfg.Duration / (sim.Time(time.Second) / sim.Time(prof.FrameRate)))
-	var outs []*workload.ViewerOutcome
+	var outs []*workload.Outcome
 	var busy0 sim.Time
 	var start sim.Time
 	m := lab.Build(lab.Setup{
@@ -146,12 +146,11 @@ func runMulticastPoint(cfg MulticastSweepConfig, mode string, buffer, cache, pre
 	}, func(m *lab.Machine) {
 		start = m.Eng.Now()
 		busy0 = m.Disk.Stats().BusyTime // setup I/O is not the sweep's traffic
-		outs = workload.LaunchBatchedViewers(m.Kernel, m.CRAS, infos, paths,
-			m.Eng.RNG("multicast-sweep"), workload.BatchedViewerConfig{
+		outs = workload.Launch(m.Kernel, workload.ServerOpener(m.CRAS, infos, paths),
+			workload.NewScript(m.Eng.RNG("multicast-sweep"), len(paths), workload.ScriptConfig{
 				Clients: cfg.Clients, Alpha: cfg.Alpha,
 				Waves: cfg.Waves, WaveGap: cfg.WaveGap, WaveSpread: cfg.WaveSpread,
-				Player: workload.PlayerConfig{MaxFrames: frames},
-			})
+			}), workload.PlayerConfig{MaxFrames: frames})
 	})
 	horizon := 2*cfg.Duration + span + 30*time.Second
 	for ran := sim.Time(0); ran < horizon; ran += time.Second {
@@ -173,6 +172,7 @@ func runMulticastPoint(cfg MulticastSweepConfig, mode string, buffer, cache, pre
 
 	pt := MulticastPoint{Mode: mode, BufferMB: buffer >> 20, CacheMB: cache >> 20, PrefixMB: prefix >> 20}
 	for _, o := range outs {
+		mustBeFresh(&o.Stats)
 		if !o.Admitted {
 			pt.Rejected++
 			continue

@@ -132,6 +132,7 @@ func runOverloadPoint(cfg OverloadSweepConfig, rate float64) OverloadPoint {
 
 		IODeadlineMiss: st.IODeadlineMiss,
 	}
+	mustBeFresh(players...)
 	for _, p := range players {
 		pt.ViewerLost += p.Lost
 	}

@@ -125,7 +125,7 @@ func runVCRPoint(cfg VCRSweepConfig, mode string, ladder []float64) VCRPoint {
 	}
 
 	frames := int(cfg.Duration / (sim.Time(time.Second) / sim.Time(prof.FrameRate)))
-	var outs []*workload.VCROutcome
+	var outs []*workload.Outcome
 	var busy0 sim.Time
 	var start sim.Time
 	m := lab.Build(lab.Setup{
@@ -138,12 +138,11 @@ func runVCRPoint(cfg VCRSweepConfig, mode string, ladder []float64) VCRPoint {
 	}, func(m *lab.Machine) {
 		start = m.Eng.Now()
 		busy0 = m.Disk.Stats().BusyTime // setup I/O is not the sweep's traffic
-		outs = workload.LaunchVCRViewers(m.Kernel, m.CRAS, infos, paths,
-			m.Eng.RNG("vcr-sweep"), workload.VCRViewerConfig{
+		outs = workload.Launch(m.Kernel, workload.ServerOpener(m.CRAS, infos, paths),
+			workload.NewScript(m.Eng.RNG("vcr-sweep"), len(paths), workload.ScriptConfig{
 				Clients: cfg.Clients, Alpha: cfg.Alpha,
-				ArrivalSpread: cfg.ArrivalSpread,
-				Player:        workload.PlayerConfig{MaxFrames: frames},
-			})
+				WaveSpread: cfg.ArrivalSpread, Interactive: true,
+			}), workload.PlayerConfig{MaxFrames: frames})
 	})
 	horizon := 2*cfg.Duration + cfg.ArrivalSpread + 30*time.Second
 	for ran := sim.Time(0); ran < horizon; ran += time.Second {
@@ -166,6 +165,7 @@ func runVCRPoint(cfg VCRSweepConfig, mode string, ladder []float64) VCRPoint {
 	pt := VCRPoint{Mode: mode}
 	var rateSum float64
 	for _, o := range outs {
+		mustBeFresh(&o.Stats)
 		if !o.Admitted {
 			pt.Rejected++
 			continue
@@ -174,10 +174,10 @@ func runVCRPoint(cfg VCRSweepConfig, mode string, ladder []float64) VCRPoint {
 		if o.ReducedOpen {
 			pt.ReducedOpens++
 		}
-		pt.Ops += o.Ops
-		pt.Refusals += o.Refusals
+		pt.Ops += o.Stats.Fired
+		pt.Refusals += o.Stats.Refusals
 		pt.Lost += o.Stats.Lost
-		rateSum += o.FinalRate
+		rateSum += o.Stats.FinalRate
 	}
 	if pt.Admitted > 0 {
 		pt.AvgFinalRate = rateSum / float64(pt.Admitted)

@@ -32,47 +32,48 @@ func failReadsAfter(m *lab.Machine, at sim.Time) {
 type played struct {
 	stats  *PlayerStats
 	window int  // frames the viewer was due: the title or MaxFrames
-	seeks  bool // scripted to reposition, so Frames need not match window
-	paced  bool // the record carries a span to check the pacing against
+	seeks  bool // scripted to reposition or quit, so Frames need not match window
+	paced  bool // the span covers lost frames too, so pacing can be checked
 }
 
 // checkAccounting requires losses (so the check is not vacuous) and, for
-// every viewer of a launcher: one LostAt entry per lost frame, every frame
-// it was due either obtained or lost, the whole window accounted for by a
-// viewer that never repositions, and losses after a stopped clock paced at
-// the frame cadence rather than counted off in zero time.
-func checkAccounting(t *testing.T, launcher string, frameDur sim.Time, viewers []played) {
+// every viewer of a launch: one LostAt entry per lost frame, every frame it
+// played through either obtained or lost, the whole window accounted for
+// by a viewer that neither repositions nor quits, and losses after a
+// stopped clock paced at the frame cadence rather than counted off in zero
+// time.
+func checkAccounting(t *testing.T, launch string, frameDur sim.Time, viewers []played) {
 	t.Helper()
 	total := 0
 	for i, v := range viewers {
 		ps := v.stats
 		total += ps.Lost
 		if len(ps.LostAt) != ps.Lost {
-			t.Errorf("%s viewer %d: Lost %d, %d LostAt entries", launcher, i, ps.Lost, len(ps.LostAt))
+			t.Errorf("%s viewer %d: Lost %d, %d LostAt entries", launch, i, ps.Lost, len(ps.LostAt))
 		}
 		if ps.Obtained+ps.Lost != ps.Frames {
-			t.Errorf("%s viewer %d: obtained %d + lost %d != %d frames", launcher, i, ps.Obtained, ps.Lost, ps.Frames)
+			t.Errorf("%s viewer %d: obtained %d + lost %d != %d frames", launch, i, ps.Obtained, ps.Lost, ps.Frames)
 		}
 		if v.seeks {
 			continue
 		}
 		if ps.Frames != v.window {
-			t.Errorf("%s viewer %d: accounted for %d of its %d frames", launcher, i, ps.Frames, v.window)
+			t.Errorf("%s viewer %d: accounted for %d of its %d frames", launch, i, ps.Frames, v.window)
 		}
 		if v.paced && ps.Obtained > 0 && ps.Span < sim.Time(ps.Frames-1)*frameDur {
 			t.Errorf("%s viewer %d: %d frames took %v, less than their %v of play time",
-				launcher, i, ps.Frames, ps.Span, sim.Time(ps.Frames-1)*frameDur)
+				launch, i, ps.Frames, ps.Span, sim.Time(ps.Frames-1)*frameDur)
 		}
 	}
-	t.Logf("%s: %d lost over %d viewers", launcher, total, len(viewers))
+	t.Logf("%s: %d lost over %d viewers", launch, total, len(viewers))
 	if total == 0 {
-		t.Errorf("%s: no frame lost under failing reads; the check is vacuous", launcher)
+		t.Errorf("%s: no frame lost under failing reads; the check is vacuous", launch)
 	}
 }
 
-// TestLostAtMatchesLost: under failing reads, every launcher's viewers
-// account for every frame they were due, record one LostAt frame index per
-// lost frame, and keep losing at the frame cadence once the clock stops.
+// TestLostAtMatchesLost: under failing reads, every viewer accounts for
+// every frame it was due, records one LostAt frame index per lost frame,
+// and keeps losing at the frame cadence once the clock stops.
 func TestLostAtMatchesLost(t *testing.T) {
 	movie := media.MPEG1().Generate("/m", 6*time.Second)
 	frameDur := movie.Chunks[0].Duration
@@ -100,12 +101,15 @@ func TestLostAtMatchesLost(t *testing.T) {
 		}
 		return viewers
 	}
-	viewers := func(outs []*ViewerOutcome) []played {
+	viewers := func(outs []*Outcome) []played {
 		var vs []played
 		for _, o := range outs {
-			vs = append(vs, played{stats: &o.Stats, window: window, paced: true})
+			vs = append(vs, played{stats: &o.Stats, window: window, paced: true, seeks: len(o.Ops) > 0})
 		}
 		return vs
+	}
+	scripted := func(m *lab.Machine, sc Script) []played {
+		return viewers(Launch(m.Kernel, ServerOpener(m.CRAS, infos, paths), sc, player))
 	}
 	for _, tc := range []struct {
 		name   string
@@ -123,32 +127,26 @@ func TestLostAtMatchesLost(t *testing.T) {
 			// Its span covers obtained frames only, so pacing goes unchecked.
 			return []played{{stats: &ps, window: len(longer.Chunks)}}
 		}},
-		{"CrashingViewer", false, func(m *lab.Machine) []played {
-			var ps PlayerStats
-			CrashingViewer(m.Kernel, m.CRAS, movie, "/m", 4*time.Second, player, &ps)
-			return []played{{stats: &ps, seeks: true}}
+		{"crash", false, func(m *lab.Machine) []played {
+			return scripted(m, Script{{Ops: []Op{{Kind: OpCrash, At: 4 * time.Second}}}})
 		}},
-		{"LaunchZipfViewers", false, func(m *lab.Machine) []played {
-			return viewers(LaunchZipfViewers(m.Kernel, m.CRAS, infos, paths, m.Eng.RNG("zipf"),
-				ZipfViewerConfig{Clients: 3, Alpha: 1, ArrivalSpread: time.Second, Player: player}))
+		{"uniform", false, func(m *lab.Machine) []played {
+			return scripted(m, NewScript(m.Eng.RNG("zipf"), 1,
+				ScriptConfig{Clients: 3, Alpha: 1, WaveSpread: time.Second}))
 		}},
-		{"LaunchBatchedViewers", false, func(m *lab.Machine) []played {
-			return viewers(LaunchBatchedViewers(m.Kernel, m.CRAS, infos, paths, m.Eng.RNG("batch"),
-				BatchedViewerConfig{Clients: 3, Alpha: 1, WaveSpread: time.Second, Player: player}))
+		{"waves", false, func(m *lab.Machine) []played {
+			return scripted(m, NewScript(m.Eng.RNG("batch"), 1,
+				ScriptConfig{Clients: 3, Alpha: 1, Waves: 2, WaveGap: time.Second, WaveSpread: time.Second}))
 		}},
-		{"LaunchVCRViewers", false, func(m *lab.Machine) []played {
-			var vs []played
-			for _, o := range LaunchVCRViewers(m.Kernel, m.CRAS, infos, paths, m.Eng.RNG("vcr"),
-				VCRViewerConfig{Clients: 3, Alpha: 1, ArrivalSpread: time.Second, Player: player}) {
-				vs = append(vs, played{stats: &o.Stats, window: window, paced: true, seeks: o.Kind != "plain"})
-			}
-			return vs
+		{"interactive", false, func(m *lab.Machine) []played {
+			return scripted(m, NewScript(m.Eng.RNG("vcr"), 1,
+				ScriptConfig{Clients: 3, Alpha: 1, WaveSpread: time.Second, Interactive: true}))
 		}},
 	} {
 		checkAccounting(t, tc.name, frameDur, machine(tc.noCRAS, tc.launch))
 	}
 
-	var outs []*ClusterViewerOutcome
+	var outs []*Outcome
 	c := cluster.New(cluster.Config{
 		Nodes: 2, Seed: 1,
 		Node:   lab.Setup{DiskCylinders: 600},
@@ -157,15 +155,9 @@ func TestLostAtMatchesLost(t *testing.T) {
 		for id := 0; id < c.Nodes(); id++ {
 			failReadsAfter(c.Machine(id), failAt)
 		}
-		outs = LaunchClusterViewers(c, paths, c.Engine().RNG("cluster"),
-			ClusterViewerConfig{Clients: 3, Alpha: 1, ArrivalSpread: time.Second, MaxFrames: window})
+		outs = Launch(c.Kernel(), ClusterOpener(c, paths), NewScript(c.Engine().RNG("cluster"), 1,
+			ScriptConfig{Clients: 3, Alpha: 1, WaveSpread: time.Second}), player)
 	})
 	c.Run(30 * time.Second)
-	var vs []played
-	for _, o := range outs {
-		// The cluster outcome records no span, so pacing goes unchecked.
-		ps := &PlayerStats{Frames: o.Frames, Obtained: o.Obtained, Lost: o.Lost, LostAt: o.LostAt}
-		vs = append(vs, played{stats: ps, window: window})
-	}
-	checkAccounting(t, "LaunchClusterViewers", frameDur, vs)
+	checkAccounting(t, "cluster", frameDur, viewers(outs))
 }

@@ -53,67 +53,3 @@ func OpenFlooder(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path s
 		})
 	}
 }
-
-// CrashingViewer plays a stream like CRASPlayer but dies without closing at
-// crashAt — the client-side half of the dead-name drill. The stats stop at
-// the crash; Done is still set so harnesses do not wait for a ghost.
-func CrashingViewer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path string,
-	crashAt sim.Time, cfg PlayerConfig, stats *PlayerStats) *rtm.Thread {
-	frameDur := info.Chunks[0].Duration
-	cfg.fill(frameDur)
-	return k.NewThread("crashplay:"+path, cfg.Priority, cfg.Quantum, func(th *rtm.Thread) {
-		defer func() { stats.Done = true }()
-		h, err := srv.Open(th, info, path, core.OpenOptions{})
-		if err != nil {
-			return
-		}
-		if err := h.Start(th); err != nil {
-			return
-		}
-		start := k.Now()
-		for i, c := range info.Chunks {
-			if k.Now() >= crashAt {
-				h.Crash()
-				break
-			}
-			due := h.ClockStartsAt(c.Timestamp)
-			if due < 0 {
-				break
-			}
-			if k.Now() < due {
-				th.SleepUntil(due)
-			}
-			limit := due + cfg.GiveUp
-			for {
-				if _, ok := h.Get(c.Timestamp); ok {
-					stats.record(k.Now(), k.Now()-due, c.Size, cfg.Tolerance)
-					break
-				}
-				if k.Now() >= limit {
-					stats.lose(i)
-					break
-				}
-				th.Sleep(cfg.Poll)
-			}
-			stats.Frames = i + 1
-		}
-		stats.Span = k.Now() - start
-	})
-}
-
-// SilentClient opens a session, starts it, and then does nothing at all —
-// no Get, no Renew, no Close. It is the lease reaper's canonical customer.
-// openedAt (if non-nil) receives the time the open completed.
-func SilentClient(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path string,
-	openedAt *sim.Time) *rtm.Thread {
-	return k.NewThread("silent:"+path, rtm.PrioTS, 0, func(th *rtm.Thread) {
-		h, err := srv.Open(th, info, path, core.OpenOptions{})
-		if err != nil {
-			return
-		}
-		h.Start(th)
-		if openedAt != nil {
-			*openedAt = k.Now()
-		}
-	})
-}

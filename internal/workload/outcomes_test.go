@@ -57,8 +57,8 @@ func TestOutcomesGolden(t *testing.T) {
 		fmt.Fprintf(&b, "%s %02d title=%d at=%v admitted=%v "+format+"\n",
 			append([]any{launcher, i, title, at, admitted}, args...)...)
 	}
-	viewer := func(launcher string, i int, o *ViewerOutcome) {
-		line(launcher, i, o.Movie, o.At, o.Admitted,
+	viewer := func(launcher string, i int, o *Outcome) {
+		line(launcher, i, o.Title, o.At, o.Admitted,
 			"cache=%v mcast=%v prefix=%v frames=%d obtained=%d lost=%d done=%v",
 			o.CacheBacked, o.Multicast, o.PrefixStart,
 			o.Stats.Frames, o.Stats.Obtained, o.Stats.Lost, o.Stats.Done)
@@ -66,15 +66,15 @@ func TestOutcomesGolden(t *testing.T) {
 
 	// Zipf viewers over the interval cache.
 	infos, paths, movies := catalogue(media.MPEG1(), 3, 12*time.Second)
-	var zipf []*ViewerOutcome
+	var zipf []*Outcome
 	m := lab.Build(lab.Setup{
 		Seed: 1, DiskCylinders: 600,
 		CRAS:   core.Config{BufferBudget: 24 << 20, CacheBudget: 8 << 20},
 		Movies: movies,
 	}, func(m *lab.Machine) {
-		zipf = LaunchZipfViewers(m.Kernel, m.CRAS, infos, paths, m.Eng.RNG("zipf"),
-			ZipfViewerConfig{Clients: 10, Alpha: 1.1, ArrivalSpread: 3 * time.Second,
-				Player: PlayerConfig{MaxFrames: 120}})
+		zipf = Launch(m.Kernel, ServerOpener(m.CRAS, infos, paths),
+			NewScript(m.Eng.RNG("zipf"), len(paths), ScriptConfig{Clients: 10, Alpha: 1.1, WaveSpread: 3 * time.Second}),
+			PlayerConfig{MaxFrames: 120})
 	})
 	runMachine(t, m, func() bool {
 		for _, o := range zipf {
@@ -89,16 +89,17 @@ func TestOutcomesGolden(t *testing.T) {
 	}
 
 	// A two-wave premiere over multicast batching and pinned prefixes.
-	var batch []*ViewerOutcome
+	var batch []*Outcome
 	m = lab.Build(lab.Setup{
 		Seed: 1, DiskCylinders: 600,
 		CRAS: core.Config{BufferBudget: 16 << 20, CacheBudget: 8 << 20,
 			PrefixBudget: 16 << 20, BatchWindow: 2 * time.Second},
 		Movies: movies,
 	}, func(m *lab.Machine) {
-		batch = LaunchBatchedViewers(m.Kernel, m.CRAS, infos, paths, m.Eng.RNG("batch"),
-			BatchedViewerConfig{Clients: 10, Alpha: 1.1, Waves: 2, WaveGap: 4 * time.Second,
-				WaveSpread: time.Second, Player: PlayerConfig{MaxFrames: 120}})
+		batch = Launch(m.Kernel, ServerOpener(m.CRAS, infos, paths),
+			NewScript(m.Eng.RNG("batch"), len(paths), ScriptConfig{Clients: 10, Alpha: 1.1,
+				Waves: 2, WaveGap: 4 * time.Second, WaveSpread: time.Second}),
+			PlayerConfig{MaxFrames: 120})
 	})
 	runMachine(t, m, func() bool {
 		for _, o := range batch {
@@ -114,15 +115,16 @@ func TestOutcomesGolden(t *testing.T) {
 
 	// An interactive MPEG-2 population under the delivered-rate ladder.
 	vinfos, vpaths, vmovies := catalogue(media.MPEG1(), 4, 12*time.Second)
-	var vcr []*VCROutcome
+	var vcr []*Outcome
 	m = lab.Build(lab.Setup{
 		Seed:   1,
 		CRAS:   core.Config{BufferBudget: 24 << 20, RateLadder: []float64{1, 0.75, 0.5}},
 		Movies: vmovies,
 	}, func(m *lab.Machine) {
-		vcr = LaunchVCRViewers(m.Kernel, m.CRAS, vinfos, vpaths, m.Eng.RNG("vcr"),
-			VCRViewerConfig{Clients: 14, Alpha: 0.7, ArrivalSpread: 2 * time.Second,
-				Player: PlayerConfig{MaxFrames: 150}})
+		vcr = Launch(m.Kernel, ServerOpener(m.CRAS, vinfos, vpaths),
+			NewScript(m.Eng.RNG("vcr"), len(vpaths), ScriptConfig{Clients: 14, Alpha: 0.7,
+				WaveSpread: 2 * time.Second, Interactive: true}),
+			PlayerConfig{MaxFrames: 150})
 	})
 	runMachine(t, m, func() bool {
 		for _, o := range vcr {
@@ -133,15 +135,15 @@ func TestOutcomesGolden(t *testing.T) {
 		return true
 	})
 	for i, o := range vcr {
-		line("vcr", i, o.Movie, o.At, o.Admitted,
+		line("vcr", i, o.Title, o.At, o.Admitted,
 			"cache=%v mcast=%v prefix=%v frames=%d obtained=%d lost=%d done=%v kind=%s ops=%d refusals=%d reduced=%v rate=%v",
 			o.CacheBacked, o.Multicast, o.PrefixStart,
 			o.Stats.Frames, o.Stats.Obtained, o.Stats.Lost, o.Stats.Done,
-			o.Kind, o.Ops, o.Refusals, o.ReducedOpen, o.FinalRate)
+			o.Kind, o.Stats.Fired, o.Stats.Refusals, o.ReducedOpen, o.Stats.FinalRate)
 	}
 
 	// Zipf viewers against a two-node cluster front door.
-	var cv []*ClusterViewerOutcome
+	var cv []*Outcome
 	c := cluster.New(cluster.Config{
 		Nodes: 2, Seed: 1,
 		Node: lab.Setup{DiskCylinders: 600, CRAS: core.Config{
@@ -150,23 +152,24 @@ func TestOutcomesGolden(t *testing.T) {
 		}},
 		Movies: movies,
 	}, func(c *cluster.Cluster) {
-		cv = LaunchClusterViewers(c, paths, c.Engine().RNG("cluster"),
-			ClusterViewerConfig{Clients: 10, Alpha: 1.1, ArrivalSpread: 3 * time.Second, MaxFrames: 120})
+		cv = Launch(c.Kernel(), ClusterOpener(c, paths),
+			NewScript(c.Engine().RNG("cluster"), len(paths), ScriptConfig{Clients: 10, Alpha: 1.1, WaveSpread: 3 * time.Second}),
+			PlayerConfig{MaxFrames: 120})
 	})
 	for ran := sim.Time(0); ran < 120*time.Second; ran += time.Second {
 		c.Run(time.Second)
 		done := true
 		for _, o := range cv {
-			done = done && o.Done
+			done = done && o.Stats.Done
 		}
 		if done {
 			break
 		}
 	}
 	for i, o := range cv {
-		line("cluster", i, o.Movie, o.At, o.Admitted,
+		line("cluster", i, o.Title, o.At, o.Admitted,
 			"node=%d shared=%v moved=%v frames=%d obtained=%d lost=%d done=%v",
-			o.Node, o.Shared, o.Moved, o.Frames, o.Obtained, o.Lost, o.Done)
+			o.Node, o.CacheBacked || o.Multicast, o.Moved, o.Stats.Frames, o.Stats.Obtained, o.Stats.Lost, o.Stats.Done)
 	}
 
 	const path = "testdata/outcomes.golden"

@@ -17,17 +17,23 @@ import (
 )
 
 // PlayerStats is what a player measured: per-frame delay samples (obtained
-// time minus due time), counts, and delivered bytes.
+// time minus due time), counts, delivered bytes, and the record of its
+// scripted ops.
 type PlayerStats struct {
 	Delays      metrics.Series // one sample per obtained frame, seconds
 	DelaySeries metrics.Series // (real time, delay seconds) for Figure 7/10 traces
-	Frames      int
+	Frames      int            // frames played through, obtained or lost
 	Obtained    int
 	Lost        int
 	LostAt      []int // frame indices of lost frames (diagnostics)
+	Expired     int   // obtained chunks that did not cover the time asked for
 	Bytes       int64 // bytes of all obtained frames
-	OnTimeBytes int64 // bytes of frames obtained within the tolerance
+	OnTimeBytes int64 // bytes of frames obtained within one frame duration
 	Span        sim.Time
+	Fired       int     // scripted ops run
+	Refusals    int     // ops answered with a typed ErrVCRRefused
+	FinalRate   float64 // delivered rate when playback ended
+	Err         error   // what ended the session early, if anything did
 	Done        bool
 }
 
@@ -47,30 +53,13 @@ func (ps *PlayerStats) OnTimeThroughput() float64 {
 	return float64(ps.OnTimeBytes) / ps.Span.Seconds()
 }
 
-// PlayerConfig tunes a player.
+// PlayerConfig tunes a player. Priority and Quantum set the thread of a
+// CRASPlayer or UFSPlayer; Launch runs its viewers at rtm.PrioRTLow.
 type PlayerConfig struct {
-	Priority  int      // thread priority
+	Priority  int      // thread priority; UFSPlayer defaults 0 to rtm.PrioRTLow
 	Quantum   sim.Time // 0 = fixed priority
-	Poll      sim.Time // buffer poll interval; default 2ms
-	Tolerance sim.Time // on-time threshold; default one frame duration
-	GiveUp    sim.Time // per-frame wait budget; default 5 frame durations
 	MaxFrames int      // 0 = whole movie
 	FrameCPU  sim.Time // decode cost charged per obtained frame
-}
-
-func (c *PlayerConfig) fill(frameDur sim.Time) {
-	if c.Priority == 0 {
-		c.Priority = rtm.PrioRTLow
-	}
-	if c.Poll == 0 {
-		c.Poll = 2 * time.Millisecond
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = frameDur
-	}
-	if c.GiveUp == 0 {
-		c.GiveUp = 5 * frameDur
-	}
 }
 
 // CRASPlayer opens a stream on the CRAS server and consumes it frame by
@@ -84,8 +73,7 @@ func CRASPlayer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path st
 		if err != nil {
 			return
 		}
-		defer h.Close(th)
-		playViewer(k, th, h, info, cfg, stats)
+		Play(k, th, h, nil, cfg, stats)
 	})
 }
 
@@ -99,7 +87,9 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 	if len(info.Chunks) > 0 {
 		frameDur = info.Chunks[0].Duration
 	}
-	cfg.fill(frameDur)
+	if cfg.Priority == 0 {
+		cfg.Priority = rtm.PrioRTLow
+	}
 	return k.NewThread("ufsplay:"+path, cfg.Priority, cfg.Quantum, func(th *rtm.Thread) {
 		defer func() { stats.Done = true }()
 		c := ufs.NewClient(srv, th)
@@ -126,7 +116,7 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 				stats.lose(i)
 				continue
 			}
-			stats.record(k.Now(), k.Now()-due, ch.Size, cfg.Tolerance)
+			stats.record(k.Now(), k.Now()-due, ch.Size, frameDur)
 			th.Compute(cfg.FrameCPU)
 			stats.Span = k.Now() - begin
 		}

@@ -1,15 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"math"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/media"
-	"repro/internal/rtm"
-	"repro/internal/sim"
-)
+import "math"
 
 // ZipfPicker draws movie ranks from a Zipf popularity law: rank r (from 0)
 // is chosen with probability proportional to 1/(r+1)^alpha. Alpha 0 is the
@@ -46,120 +37,4 @@ func (z *ZipfPicker) Pick(u float64) int {
 		}
 	}
 	return lo
-}
-
-// ViewerOutcome is one Zipf viewer's fate: which movie it asked for,
-// whether admission let it in, whether it rode the interval cache, and its
-// delivery record (zero-valued when the viewer was rejected).
-type ViewerOutcome struct {
-	Movie       int
-	At          sim.Time // scripted arrival time
-	Admitted    bool
-	CacheBacked bool // at open; may drop to disk later (see Stats)
-	Multicast   bool // opened as a multicast fan-out member
-	PrefixStart bool // first frames backfilled from the pinned prefix
-	Stats       PlayerStats
-}
-
-// ZipfViewerConfig shapes a multi-client arrival pattern.
-type ZipfViewerConfig struct {
-	Clients       int
-	Alpha         float64
-	ArrivalSpread sim.Time // viewer arrivals uniform in [0, spread)
-	Player        PlayerConfig
-}
-
-// LaunchZipfViewers spawns a population of viewers whose movie choices
-// follow Zipf(alpha) and whose arrivals are uniform over the spread. Every
-// random draw happens up front, before any thread runs, so the workload is
-// a fixed script: identical (rng, config) inputs replay the identical
-// arrival sequence no matter how the server interleaves them. Outcomes are
-// filled in as viewers finish; callers poll Stats.Done.
-func LaunchZipfViewers(k *rtm.Kernel, srv *core.Server, infos []*media.StreamInfo,
-	paths []string, rng *sim.RNG, cfg ZipfViewerConfig) []*ViewerOutcome {
-	picker := NewZipfPicker(len(paths), cfg.Alpha)
-	outs := make([]*ViewerOutcome, cfg.Clients)
-	for i := range outs {
-		outs[i] = &ViewerOutcome{Movie: picker.Pick(rng.Float64())}
-		if cfg.ArrivalSpread > 0 {
-			outs[i].At = rng.DurationRange(0, cfg.ArrivalSpread)
-		}
-	}
-	for i := range outs {
-		out := outs[i]
-		info := infos[out.Movie]
-		path := paths[out.Movie]
-		k.NewThread(fmt.Sprintf("zipf%02d:%s", i, path), rtm.PrioRTLow, 0, func(th *rtm.Thread) {
-			defer func() { out.Stats.Done = true }()
-			if k.Now() < out.At {
-				th.SleepUntil(out.At)
-			}
-			h, err := srv.Open(th, info, path, core.OpenOptions{})
-			if err != nil {
-				return // rejected by admission: Admitted stays false
-			}
-			out.Admitted = true
-			out.CacheBacked = h.CacheBacked()
-			defer h.Close(th)
-			playViewer(k, th, h, info, cfg.Player, &out.Stats)
-		})
-	}
-	return outs
-}
-
-// playViewer is the CRASPlayer consumption loop for an already-open handle.
-func playViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
-	info *media.StreamInfo, cfg PlayerConfig, stats *PlayerStats) {
-	frameDur := sim.Time(time.Second)
-	if len(info.Chunks) > 0 {
-		frameDur = info.Chunks[0].Duration
-	}
-	cfg.fill(frameDur)
-	frames := len(info.Chunks)
-	if cfg.MaxFrames > 0 && cfg.MaxFrames < frames {
-		frames = cfg.MaxFrames
-	}
-	stats.Frames = frames
-	if err := h.Start(th); err != nil {
-		for i := 0; i < frames; i++ {
-			stats.lose(i)
-		}
-		return
-	}
-	begin := sim.Time(-1)
-	for i := 0; i < frames; i++ {
-		c := info.Chunks[i]
-		due := h.ClockStartsAt(c.Timestamp)
-		if begin < 0 {
-			begin = due
-		}
-		if due < 0 {
-			// Clock stopped: the frame will not come due; count it lost and
-			// move on at the frame cadence.
-			stats.lose(i)
-			th.Sleep(c.Duration)
-			stats.Span = k.Now() - begin
-			continue
-		}
-		if k.Now() < due {
-			th.SleepUntil(due)
-		}
-		// The wait budget anchors to the due time, so a run of lost frames
-		// cannot push the player ever further behind the stream's clock (it
-		// skips, as a real player would).
-		limit := due + cfg.GiveUp
-		for {
-			if _, ok := h.Get(c.Timestamp); ok {
-				stats.record(k.Now(), k.Now()-due, c.Size, cfg.Tolerance)
-				th.Compute(cfg.FrameCPU)
-				break
-			}
-			if k.Now() >= limit {
-				stats.lose(i)
-				break
-			}
-			th.Sleep(cfg.Poll)
-		}
-		stats.Span = k.Now() - begin
-	}
 }

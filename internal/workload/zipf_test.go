@@ -51,17 +51,16 @@ func TestZipfViewersRideCache(t *testing.T) {
 		paths = append(paths, p)
 		movies = append(movies, lab.Movie{Path: p, Info: info})
 	}
-	var outs []*ViewerOutcome
+	var outs []*Outcome
 	m := lab.Build(lab.Setup{
 		Seed: 3, DiskCylinders: 600,
 		CRAS:   core.Config{CacheBudget: 16 << 20},
 		Movies: movies,
 	}, func(m *lab.Machine) {
-		outs = LaunchZipfViewers(m.Kernel, m.CRAS, infos, paths,
-			m.Eng.RNG("zipf"), ZipfViewerConfig{
-				Clients: nClients, Alpha: 1.1, ArrivalSpread: 3 * time.Second,
-				Player: PlayerConfig{MaxFrames: 60},
-			})
+		outs = Launch(m.Kernel, ServerOpener(m.CRAS, infos, paths),
+			NewScript(m.Eng.RNG("zipf"), len(paths), ScriptConfig{
+				Clients: nClients, Alpha: 1.1, WaveSpread: 3 * time.Second,
+			}), PlayerConfig{MaxFrames: 60})
 	})
 	for ran := sim.Time(0); ran < 60*time.Second; ran += time.Second {
 		m.Run(time.Second)
@@ -85,7 +84,7 @@ func TestZipfViewersRideCache(t *testing.T) {
 		if !o.Stats.Done {
 			t.Fatalf("viewer %d never finished", i)
 		}
-		byMovie[o.Movie]++
+		byMovie[o.Title]++
 		if !o.Admitted {
 			continue
 		}
