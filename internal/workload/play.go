@@ -134,6 +134,8 @@ func Play(k *rtm.Kernel, th *rtm.Thread, s Session, ops []Op, cfg PlayerConfig, 
 		stats.Frames -= frames - i
 		stats.FinalRate = s.DeliveredRate()
 		if hangUp {
+			// The close may lose the race against an eviction or a drain
+			// deadline; that duplicate close is not the player's problem.
 			s.Close(th)
 		}
 	}
