@@ -10,10 +10,48 @@ import (
 // the waiter's slot before waking it, so delivery order is the order in
 // which receivers blocked: a receiver that shows up between the wakeup and
 // the woken thread actually running cannot barge in and steal the message.
+// A thread blocks in at most one receive at a time, so each Thread carries
+// its own waiter and a blocking receive allocates none.
 type portWaiter struct {
 	t     *Thread
 	msg   any
 	given bool
+}
+
+// fifo is a queue whose backing array is reused: a pop advances a head
+// index, the indices rewind when the queue empties, and a push that would
+// grow a full array first slides the live entries down to the front. So the
+// array stops growing at the high-water mark of queued entries, even when
+// the queue never drains.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// items returns the queued entries, oldest first.
+func (q *fifo[T]) items() []T { return q.buf[q.head:] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v) //crasvet:allow hotalloc -- grows only past the high-water mark of queued entries; pops and compaction reuse the array
+}
+
+// pop removes and returns the oldest entry; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }
 
 // Port is a Mach-style message queue: sends never block, receives block the
@@ -23,20 +61,26 @@ type portWaiter struct {
 type Port struct {
 	name    string
 	reason  string // "port:" + name, the block reason of a waiting receiver
-	msgs    []any
-	waiters []*portWaiter
+	msgs    fifo[any]
+	waiters fifo[*portWaiter]
 	dead    bool
 	notify  *Port // receives DeadName when this port is destroyed
+
+	// replyReason is "port:" + name + ".reply", the block reason of a
+	// caller waiting on this port's answer; built by the first Call.
+	replyReason string
+	// sendFn is Send bound once, set on a thread's reply port: ReceiveCall
+	// hands it out as the reply function of every call made through it.
+	sendFn func(resp any)
 }
 
 // NewPort returns an empty port.
-func (k *Kernel) NewPort(name string) *Port { return newPort(name, "") }
+func (k *Kernel) NewPort(name string) *Port { return newPort(name) }
 
-// newPort returns an empty port named name+suffix. The name is a tail of
-// the block reason, so both cost one string built here rather than one per
-// blocking receive.
-func newPort(name, suffix string) *Port {
-	reason := "port:" + name + suffix
+// newPort returns an empty port. The name is a tail of the block reason, so
+// both cost one string built here rather than one per blocking receive.
+func newPort(name string) *Port {
+	reason := "port:" + name
 	return &Port{name: reason[len("port:"):], reason: reason}
 }
 
@@ -50,37 +94,38 @@ func (p *Port) Send(msg any) {
 	if p.dead {
 		return
 	}
-	if len(p.waiters) > 0 {
-		w := p.waiters[0]
-		p.waiters = p.waiters[1:]
+	if p.waiters.len() > 0 {
+		w := p.waiters.pop()
 		w.msg, w.given = msg, true
 		w.t.wake()
 		return
 	}
-	p.msgs = append(p.msgs, msg) //crasvet:allow hotalloc -- port queue backing array stabilizes at the high-water mark of queued messages
+	p.msgs.push(msg)
 }
 
 // receive dequeues the oldest message, blocking while the port is empty.
 // ok is false when the port is (or becomes) destroyed.
+//
+//crasvet:hotpath
 func (p *Port) receive(t *Thread) (msg any, ok bool) {
-	if len(p.msgs) > 0 {
-		m := p.msgs[0]
-		p.msgs[0] = nil
-		p.msgs = p.msgs[1:]
-		return m, true
+	if p.msgs.len() > 0 {
+		return p.msgs.pop(), true
 	}
 	if p.dead {
 		return nil, false
 	}
-	w := &portWaiter{t: t}
-	p.waiters = append(p.waiters, w)
+	w := &t.waiter
+	w.given = false
+	p.waiters.push(w)
 	for !w.given {
 		if p.dead {
 			return nil, false
 		}
 		t.block(p.reason)
 	}
-	return w.msg, true
+	m := w.msg
+	w.msg = nil // the thread must not pin its last message
+	return m, true
 }
 
 // Receive dequeues the oldest message, blocking the calling thread while the
@@ -98,17 +143,14 @@ func (p *Port) Receive(t *Thread) any {
 // Only queued messages are visible: a message already handed to a woken
 // receiver cannot be stolen from interrupt context.
 func (p *Port) TryReceive() (msg any, ok bool) {
-	if len(p.msgs) == 0 {
+	if p.msgs.len() == 0 {
 		return nil, false
 	}
-	m := p.msgs[0]
-	p.msgs[0] = nil
-	p.msgs = p.msgs[1:]
-	return m, true
+	return p.msgs.pop(), true
 }
 
 // Len returns the number of queued messages.
-func (p *Port) Len() int { return len(p.msgs) }
+func (p *Port) Len() int { return p.msgs.len() }
 
 // DeadName announces that a port was destroyed: delivered to the port
 // registered with NotifyDeadName, and returned by Receive/Call on a
@@ -133,15 +175,15 @@ func (p *Port) Destroy() {
 		return
 	}
 	p.dead = true
-	msgs := p.msgs
-	p.msgs = nil
+	msgs := p.msgs.items()
+	p.msgs = fifo[any]{}
 	for _, m := range msgs {
-		if env, ok := m.(rpcEnvelope); ok {
+		if env, ok := m.(*rpcEnvelope); ok {
 			env.reply.Destroy()
 		}
 	}
-	waiters := p.waiters
-	p.waiters = nil
+	waiters := p.waiters.items()
+	p.waiters = fifo[*portWaiter]{}
 	for _, w := range waiters {
 		w.t.wake()
 	}
@@ -152,41 +194,80 @@ func (p *Port) Destroy() {
 }
 
 // rpcEnvelope carries a request and its reply port through a server port.
+// Each Thread owns one, holding the thread's reply port between calls, and
+// sends a pointer to it, since a thread has at most one call outstanding.
 type rpcEnvelope struct {
 	req   any
 	reply *Port
 }
 
+// replyPort returns the thread's reply port, renamed for a call to server
+// so a blocked caller reports "port:<server>.reply". Like MIG's per-thread
+// reply port it outlives the call: a new one is made only after the old one
+// was destroyed, which happens when a server port dies with the thread's
+// request still queued — so a reply meant for an abandoned call can never
+// answer a later one.
+func (t *Thread) replyPort(server *Port) *Port {
+	if server.replyReason == "" {
+		server.replyReason = server.reason + ".reply"
+	}
+	r := t.env.reply
+	if r == nil || r.dead {
+		r = &Port{} //crasvet:allow hotalloc -- one reply port per thread, remade only after a server port's destruction took the old one down
+		r.sendFn = r.Send
+		t.env.reply = r
+	}
+	r.reason = server.replyReason
+	r.name = r.reason[len("port:"):]
+	return r
+}
+
+// call sends req to p through the calling thread's reply port and waits for
+// the answer; ok is false when p's destruction discarded the request.
+func (p *Port) call(t *Thread, req any) (resp any, ok bool) {
+	r := t.replyPort(p)
+	t.env.req = req
+	p.Send(&t.env)
+	resp, ok = r.receive(t)
+	t.env.req = nil
+	return resp, ok
+}
+
 // Call performs a synchronous RPC: it sends req to the server port together
-// with a private reply port and blocks until the reply arrives. This is the
-// shape of every client interaction with the Unix server and with CRAS's
+// with the thread's reply port and blocks until the reply arrives. This is
+// the shape of every client interaction with the Unix server and with CRAS's
 // request manager. If the server port is destroyed — before the call or
 // while the request is queued — Call returns a DeadName message.
+//
+//crasvet:hotpath
 func (p *Port) Call(t *Thread, req any) any {
 	if p.dead {
 		return DeadName{Port: p}
 	}
-	reply := newPort(p.name, ".reply")
-	p.Send(rpcEnvelope{req: req, reply: reply})
-	m, ok := reply.receive(t)
+	m, ok := p.call(t, req)
 	if !ok {
 		return DeadName{Port: p}
 	}
 	return m
 }
 
+// dropReply is the reply function of a request that cannot be answered.
+func dropReply(any) {}
+
 // ReceiveCall dequeues a request sent with Call, returning the request and a
-// function that delivers the reply. Servers whose port can be destroyed
-// should use BoundedPort.ReceiveCall, which reports destruction explicitly;
-// here a destroyed port yields a DeadName request with a no-op reply.
+// function that delivers the reply. The function is the caller's reply
+// port's Send, made once per reply port; a server replies once per request.
+// Servers whose port can be destroyed should use BoundedPort.ReceiveCall,
+// which reports destruction explicitly; here a destroyed port yields a
+// DeadName request with a no-op reply.
 func (p *Port) ReceiveCall(t *Thread) (req any, reply func(resp any)) {
 	for {
 		m, ok := p.receive(t)
 		if !ok {
-			return DeadName{Port: p}, func(any) {}
+			return DeadName{Port: p}, dropReply
 		}
-		if env, ok := m.(rpcEnvelope); ok {
-			return env.req, func(resp any) { env.reply.Send(resp) }
+		if env, ok := m.(*rpcEnvelope); ok {
+			return env.req, env.reply.sendFn
 		}
 		// Plain messages are not expected on an RPC port; drop them.
 	}
@@ -218,7 +299,7 @@ func (k *Kernel) NewBoundedPort(name string, capacity int) *BoundedPort {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BoundedPort{p: newPort(name, ""), cap: capacity}
+	return &BoundedPort{p: newPort(name), cap: capacity}
 }
 
 // Name returns the port name.
@@ -247,7 +328,7 @@ func (b *BoundedPort) NotifyDeadName(n *Port) { b.p.NotifyDeadName(n) }
 // receiver consumes the message immediately, so the queue bound only
 // applies when nobody is waiting.
 func (b *BoundedPort) full() bool {
-	return len(b.p.waiters) == 0 && len(b.p.msgs) >= b.cap
+	return b.p.waiters.len() == 0 && b.p.msgs.len() >= b.cap
 }
 
 // Send enqueues a message and reports whether it was accepted; false means
@@ -264,6 +345,8 @@ func (b *BoundedPort) Send(msg any) bool {
 // Call performs the synchronous RPC of Port.Call, but reports rejection:
 // ErrPortFull when the request queue is at capacity, ErrPortDead when the
 // port is destroyed before or while the request waits.
+//
+//crasvet:hotpath
 func (b *BoundedPort) Call(t *Thread, req any) (any, error) {
 	if b.p.dead {
 		b.rejected++
@@ -273,9 +356,7 @@ func (b *BoundedPort) Call(t *Thread, req any) (any, error) {
 		b.rejected++
 		return nil, ErrPortFull
 	}
-	reply := newPort(b.p.name, ".reply")
-	b.p.Send(rpcEnvelope{req: req, reply: reply})
-	m, ok := reply.receive(t)
+	m, ok := b.p.call(t, req)
 	if !ok {
 		return nil, ErrPortDead
 	}
@@ -297,8 +378,8 @@ func (b *BoundedPort) ReceiveCall(t *Thread) (req any, reply func(resp any), ok 
 		if !ok {
 			return nil, nil, false
 		}
-		if env, isEnv := m.(rpcEnvelope); isEnv {
-			return env.req, func(resp any) { env.reply.Send(resp) }, true
+		if env, isEnv := m.(*rpcEnvelope); isEnv {
+			return env.req, env.reply.sendFn, true
 		}
 	}
 }

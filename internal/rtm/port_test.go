@@ -260,3 +260,99 @@ func TestDeadNameNotification(t *testing.T) {
 		t.Fatal("Dead() = false after Destroy")
 	}
 }
+
+// A thread keeps one reply port across calls. Destroying a server port with
+// the thread's request still queued wakes the caller with DeadName (or
+// ErrPortDead) and takes that reply port down, so the thread's next call to
+// a live port goes through a fresh reply port and gets its own answer.
+func TestReplyPortAfterDestroyedCall(t *testing.T) {
+	e := sim.NewEngine(1)
+	k := NewKernel(e)
+	dead := k.NewPort("dead")
+	bdead := k.NewBoundedPort("bdead", 4)
+	live := k.NewPort("live")
+	k.NewThread("server", PrioTS, 0, func(th *Thread) {
+		for {
+			req, reply := live.ReceiveCall(th)
+			n, ok := req.(int)
+			if !ok {
+				return
+			}
+			reply(n * 10)
+		}
+	})
+	e.At(ms(10), dead.Destroy)
+	e.At(ms(20), bdead.Destroy)
+	var answers []any
+	client := k.NewThread("client", PrioTS, 0, func(th *Thread) {
+		answers = append(answers, live.Call(th, 1))
+		first := th.env.reply
+		answers = append(answers, live.Call(th, 2))
+		if th.env.reply != first {
+			t.Error("a completed call replaced the thread's reply port")
+		}
+		answers = append(answers, dead.Call(th, 3)) // queued; no server ever receives
+		if !first.Dead() {
+			t.Error("the destroyed server port left the queued call's reply port alive")
+		}
+		first.Send(99) // a late reply to the abandoned call vanishes
+		answers = append(answers, live.Call(th, 4))
+		if th.env.reply == first {
+			t.Error("the thread kept calling through its dead reply port")
+		}
+		second := th.env.reply
+		_, err := bdead.Call(th, 5)
+		answers = append(answers, err)
+		if !second.Dead() {
+			t.Error("the destroyed bounded port left the queued call's reply port alive")
+		}
+		answers = append(answers, live.Call(th, 6))
+		live.Destroy()
+	})
+	e.At(ms(5), func() {
+		if got := client.Proc().BlockedReason(); got != "port:dead.reply" {
+			t.Errorf("caller queued on the dead port blocks on %q, want port:dead.reply", got)
+		}
+	})
+	e.Run()
+	want := []any{10, 20, DeadName{Port: dead}, 40, ErrPortDead, 60}
+	if len(answers) != len(want) {
+		t.Fatalf("answers = %v, want %v", answers, want)
+	}
+	for i := range want {
+		if answers[i] != want[i] {
+			t.Errorf("answer %d = %v, want %v", i, answers[i], want[i])
+		}
+	}
+}
+
+// A queue that never drains still reuses its backing array: a steady
+// backlog of three messages, one in and one out per step, allocates
+// nothing once the array has reached the backlog's high-water mark.
+func TestPortQueueReusesArray(t *testing.T) {
+	k := NewKernel(sim.NewEngine(1))
+	p := k.NewPort("backlog")
+	msg := new(int) // a pointer boxes without allocating
+	for i := 0; i < 3; i++ {
+		p.Send(msg)
+	}
+	step := func() {
+		p.Send(msg)
+		if _, ok := p.TryReceive(); !ok {
+			t.Fatal("TryReceive on a backlogged port found nothing")
+		}
+	}
+	step()
+	// One run of 1000 steps: AllocsPerRun rounds its mean down, so an
+	// array regrown every few steps would read 0 per single step.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			step()
+		}
+	}); allocs != 0 {
+		t.Errorf("steady backlog: %v allocs over 1000 sends and receives, want 0", allocs)
+	}
+	if p.Len() != 3 {
+		t.Errorf("Len = %d, want the backlog of 3", p.Len())
+	}
+}

@@ -90,6 +90,12 @@ type Thread struct {
 	inReady   bool
 	blockedOn *Mutex // the inheriting mutex this thread waits on, if any
 
+	// IPC state reused across calls: the waiter a blocking receive parks,
+	// and the envelope, with the thread's reply port, of the one call a
+	// thread can have outstanding.
+	waiter portWaiter
+	env    rpcEnvelope
+
 	// Stats.
 	cpuUsed      sim.Time
 	enqueuedAt   sim.Time
@@ -107,10 +113,14 @@ func (k *Kernel) NewThread(name string, prio int, quantum sim.Time, body func(t 
 		panic(fmt.Sprintf("rtm: priority %d out of range", prio))
 	}
 	t := &Thread{k: k, name: name, cpuReason: "cpu:" + name, base: prio, quantum: quantum, state: StateNew}
+	t.waiter.t = t
 	t.proc = k.eng.Spawn(name, func(p *sim.Proc) {
 		t.state = StateRunnable
 		body(t)
 		t.state = StateDone
+		// A finished thread calls no more; whoever still holds the Thread
+		// (for its stats) need not hold its reply port too.
+		t.env = rpcEnvelope{}
 	})
 	return t
 }

@@ -8,26 +8,36 @@ import (
 	"repro/internal/sim"
 )
 
-// cacheEntry is one cached file-system block.
+// cacheEntry is one cached file-system block. It owns an 8 KB frame for
+// life: an entry leaving the cache goes, frame and all, to the cache's free
+// list, and the next block that needs a frame takes it from there.
 type cacheEntry struct {
 	blk     int64
-	data    []byte
+	data    []byte // the frame, BlockSize bytes
 	dirty   bool
-	pending bool // a read is in flight filling this entry
-	// waiters holds processes waiting out the read in flight. It is made
-	// by the first lookup that has to wait: most entries never get one.
+	pending bool // I/O is in flight on the frame: a read filling it or a write-back
+	// waiters holds processes waiting out the I/O in flight. It is made by
+	// the first lookup that has to wait on this entry, and kept when the
+	// entry is recycled: most entries never get one.
 	waiters *sim.Waiter
 
 	prev, next *cacheEntry // LRU links; nil while the entry is not resident
 }
 
-// settle ends the entry's read in flight, filled or failed, and wakes
-// whoever waited on it.
-func (e *cacheEntry) settle() {
-	e.pending = false
-	if e.waiters != nil {
-		e.waiters.WakeAll()
-	}
+// readRun is one disk read in flight filling a run of entries — a clustered
+// read-ahead, or the single block a Get miss waits on: the entries, the
+// staging buffer a multi-block read lands in (one block reads straight into
+// its frame), and the request. Records are recycled when their read
+// completes, so a warm cache reads without allocating.
+type readRun struct {
+	c       *Cache
+	entries []*cacheEntry
+	buf     []byte
+	req     disk.Request
+	done    func(*disk.Request, []byte) // complete, bound once
+	// sync marks a Get miss's read. Its failure panics, as every
+	// synchronous file-system read does: it must not corrupt silently.
+	sync bool
 }
 
 // Cache is a write-back LRU buffer cache over file-system blocks. All
@@ -39,11 +49,19 @@ func (e *cacheEntry) settle() {
 // order: a touch moves the entry to the back, so eviction walks from the
 // front and takes the first entry it may drop. Entries leave the list when
 // they leave the map, and only then.
+//
+// The cache owns its frames. An entry that leaves the cache with no I/O in
+// flight on its frame is recycled at once; one with I/O in flight is
+// recycled when that I/O settles. The free list keeps a frame only while
+// free and resident entries together stay within capacity, so a cache never
+// holds more than capacity frames beyond a miss's temporary overshoot.
 type Cache struct {
 	dsk      BlockDevice
 	capacity int
 	entries  map[int64]*cacheEntry
 	lru      cacheEntry // sentinel: lru.next is least, lru.prev most recent
+	free     []*cacheEntry
+	runs     []*readRun // idle read records
 
 	// Stats.
 	Hits       int64
@@ -69,11 +87,8 @@ func (c *Cache) pushBack(e *cacheEntry) {
 	c.lru.prev = e
 }
 
-// unlink takes e off the LRU list; an entry already off it is left alone.
+// unlink takes a resident e off the LRU list.
 func (c *Cache) unlink(e *cacheEntry) {
-	if e.next == nil {
-		return
-	}
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
@@ -83,20 +98,59 @@ func (c *Cache) unlink(e *cacheEntry) {
 // entry its block already has.
 func (c *Cache) insert(e *cacheEntry) {
 	if old, ok := c.entries[e.blk]; ok {
-		c.unlink(old)
+		c.remove(old)
 	}
 	c.entries[e.blk] = e
 	c.pushBack(e)
 }
 
-// remove drops e from the cache if it is still the resident entry for its
-// block: it may have been invalidated, and its block cached afresh, while
-// its owner was blocked.
+// remove drops e from the cache if it is still resident: it may have been
+// invalidated, and its block cached afresh, while its owner was blocked.
+// An entry with I/O in flight keeps its frame until settle.
 func (c *Cache) remove(e *cacheEntry) {
-	if c.entries[e.blk] == e {
-		delete(c.entries, e.blk)
+	if e.next == nil {
+		return
 	}
+	delete(c.entries, e.blk)
 	c.unlink(e)
+	if !e.pending {
+		c.recycle(e)
+	}
+}
+
+// newEntry returns an entry for blk with a frame, recycled when one is free.
+// The frame holds whatever its last block left there.
+func (c *Cache) newEntry(blk int64) *cacheEntry {
+	var e *cacheEntry
+	if n := len(c.free); n > 0 {
+		e = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		e = &cacheEntry{data: make([]byte, BlockSize)} //crasvet:allow hotalloc -- at most capacity frames: the free list hands recycled ones out first
+	}
+	e.blk, e.dirty, e.pending = blk, false, false
+	return e
+}
+
+// recycle puts a departed entry on the free list, or lets it go when the
+// free and resident entries already fill the capacity.
+func (c *Cache) recycle(e *cacheEntry) {
+	if len(c.free)+len(c.entries) < c.capacity {
+		c.free = append(c.free, e) //crasvet:allow hotalloc -- the free list never holds more than capacity entries
+	}
+}
+
+// settle ends the I/O in flight on e, wakes whoever waited on it, and
+// recycles the entry if it left the cache meanwhile.
+func (c *Cache) settle(e *cacheEntry) {
+	e.pending = false
+	if e.waiters != nil {
+		e.waiters.WakeAll()
+	}
+	if e.next == nil {
+		c.recycle(e)
+	}
 }
 
 // touch marks a resident entry most recently used. An entry that was
@@ -109,27 +163,37 @@ func (c *Cache) touch(e *cacheEntry) {
 	c.pushBack(e)
 }
 
-// lookup returns blk's filled entry, waiting out a read in flight, or nil
-// when the block is not cached. A prefetch that fails drops its entries,
-// so a caller that waited on one looks again.
+// lookup returns blk's settled entry, waiting out I/O in flight, or nil
+// when the block is not cached. The entry may leave the cache while the
+// caller waits — a prefetch that fails drops its entries — so every wakeup
+// looks the block up again.
 func (c *Cache) lookup(p *sim.Proc, blk int64) *cacheEntry {
-	for e, ok := c.entries[blk]; ok; e, ok = c.entries[blk] {
-		for e.pending {
-			if e.waiters == nil {
-				e.waiters = sim.NewWaiter(fmt.Sprintf("cache:%d", e.blk))
-			}
-			e.waiters.Wait(p)
+	for {
+		e, ok := c.entries[blk]
+		if !ok {
+			return nil
 		}
-		if e.data != nil {
+		if !e.pending {
 			return e
 		}
+		e.wait(p)
 	}
-	return nil
+}
+
+// wait parks p until the I/O in flight on e settles (or, spuriously,
+// sooner: callers re-check).
+func (e *cacheEntry) wait(p *sim.Proc) {
+	if e.waiters == nil {
+		e.waiters = sim.NewWaiter("cache") // once per entry object: recycling keeps it
+	}
+	e.waiters.Wait(p)
 }
 
 // Get returns the contents of a block, reading it from disk on a miss. The
-// returned slice aliases the cache entry: callers that modify it must call
-// MarkDirty with the same block number before the next blocking operation.
+// returned slice is the entry's frame, valid until the caller's next call
+// into the cache or next blocking operation: after that the frame may hold
+// another block. Callers that modify it must call MarkDirty with the same
+// block number within that window.
 func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 	if e := c.lookup(p, blk); e != nil {
 		c.Hits++
@@ -138,25 +202,25 @@ func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 	}
 	c.Misses++
 	c.evictFor(p, 1)
-	e := &cacheEntry{blk: blk, pending: true}
-	c.insert(e)
-	data := c.dsk.ReadSync(p, blk*SectorsPerBlock, SectorsPerBlock, false)
-	e.data = data
-	e.settle()
+	e := c.read(blk, 1, true)
+	for e.pending {
+		e.wait(p)
+	}
 	return e.data
 }
 
-// GetZero returns a cache entry for a block that is about to be fully
-// overwritten, without reading it from disk.
+// GetZero returns a zeroed entry for a block that is about to be fully
+// overwritten, without reading it from disk. Its frame has Get's lifetime.
 func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
-	if e := c.lookup(p, blk); e != nil {
+	e := c.lookup(p, blk)
+	if e != nil {
 		c.touch(e)
-		clear(e.data)
-		return e.data
+	} else {
+		c.evictFor(p, 1)
+		e = c.newEntry(blk)
+		c.insert(e)
 	}
-	c.evictFor(p, 1)
-	e := &cacheEntry{blk: blk, data: make([]byte, BlockSize)}
-	c.insert(e)
+	clear(e.data)
 	return e.data
 }
 
@@ -199,6 +263,9 @@ func (c *Cache) Prefetch(blk int64, count int) {
 	}
 }
 
+// prefetchRun reads count absent blocks from blk ahead of demand.
+//
+//crasvet:hotpath
 func (c *Cache) prefetchRun(blk int64, count int) {
 	// Room check: prefetch must not evict synchronously (no proc context);
 	// drop clean LRU entries only, and shrink the run if the cache is tight.
@@ -215,32 +282,67 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 			return
 		}
 	}
-	entries := make([]*cacheEntry, count)
-	for i := 0; i < count; i++ {
-		e := &cacheEntry{blk: blk + int64(i), pending: true}
-		c.insert(e)
-		entries[i] = e
-	}
 	c.Prefetches += int64(count)
-	// One buffer for the run; each entry keeps its own capped slice of it.
-	buf := make([]byte, count*BlockSize)
-	c.dsk.Submit(&disk.Request{
-		LBA:   blk * SectorsPerBlock,
-		Count: count * SectorsPerBlock,
-		Data:  buf,
-		Done: func(r *disk.Request, _ []byte) {
-			for i, e := range entries {
-				if r.Err != nil {
-					// Nothing was read: forget the blocks so a waiter
-					// fetches them itself.
-					c.remove(e)
-				} else {
-					e.data = buf[i*BlockSize : (i+1)*BlockSize : (i+1)*BlockSize]
-				}
-				e.settle()
-			}
-		},
-	})
+	c.read(blk, count, false)
+}
+
+// read inserts pending entries for count blocks from blk and submits one
+// disk read to fill them; it returns the first entry.
+func (c *Cache) read(blk int64, count int, sync bool) *cacheEntry {
+	r := c.newRun()
+	r.sync = sync
+	for i := 0; i < count; i++ {
+		e := c.newEntry(blk + int64(i))
+		e.pending = true
+		c.insert(e)
+		r.entries = append(r.entries, e) //crasvet:allow hotalloc -- the record keeps its slice: grows only to the longest run
+	}
+	// A run of several blocks is one request into one staging buffer,
+	// copied into the frames on completion.
+	data := r.entries[0].data
+	if count > 1 {
+		if n := count * BlockSize; cap(r.buf) < n {
+			r.buf = make([]byte, n) //crasvet:allow hotalloc -- the record keeps its buffer: grows only to the longest run
+		}
+		r.buf = r.buf[:count*BlockSize]
+		data = r.buf
+	}
+	r.req = disk.Request{LBA: blk * SectorsPerBlock, Count: count * SectorsPerBlock, Data: data, Done: r.done}
+	c.dsk.Submit(&r.req)
+	return r.entries[0]
+}
+
+// newRun returns an idle read record, recycled when one is free.
+func (c *Cache) newRun() *readRun {
+	if n := len(c.runs); n > 0 {
+		r := c.runs[n-1]
+		c.runs = c.runs[:n-1]
+		return r
+	}
+	r := &readRun{c: c} //crasvet:allow hotalloc -- one record per read in flight at the high-water mark
+	r.done = r.complete
+	return r
+}
+
+// complete fills a multi-block run's frames from the staging buffer, or on
+// a failed read forgets the blocks so a waiter fetches them itself, then
+// recycles the record.
+func (r *readRun) complete(req *disk.Request, _ []byte) {
+	if req.Err != nil && r.sync {
+		panic("ufs: unhandled injected fault on synchronous block read")
+	}
+	c := r.c
+	for i, e := range r.entries {
+		if req.Err != nil {
+			c.remove(e)
+		} else if len(r.entries) > 1 {
+			copy(e.data, r.buf[i*BlockSize:])
+		}
+		c.settle(e)
+		r.entries[i] = nil
+	}
+	r.entries = r.entries[:0]
+	c.runs = append(c.runs, r) //crasvet:allow hotalloc -- never longer than the records ever made
 }
 
 // lruVictim returns the least recently used entry that is not pending and,
@@ -262,11 +364,20 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 			return // everything pending; allow temporary overshoot
 		}
 		if victim.dirty {
-			c.Writebacks++
-			c.dsk.WriteSync(p, victim.blk*SectorsPerBlock, SectorsPerBlock, victim.data, false)
+			c.writeBack(p, victim)
 		}
 		c.remove(victim)
 	}
+}
+
+// writeBack writes a dirty entry to disk. The entry is pending meanwhile,
+// like a read in flight, so its frame cannot be recycled under the write.
+func (c *Cache) writeBack(p *sim.Proc, e *cacheEntry) {
+	c.Writebacks++
+	e.pending = true
+	c.dsk.WriteSync(p, e.blk*SectorsPerBlock, SectorsPerBlock, e.data, false)
+	e.dirty = false
+	c.settle(e)
 }
 
 // Sync writes back every dirty block.
@@ -280,10 +391,7 @@ func (c *Cache) Sync(p *sim.Proc) {
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
 	for _, blk := range dirty {
-		e := c.entries[blk]
-		c.Writebacks++
-		c.dsk.WriteSync(p, blk*SectorsPerBlock, SectorsPerBlock, e.data, false)
-		e.dirty = false
+		c.writeBack(p, c.entries[blk])
 	}
 }
 

@@ -26,6 +26,11 @@
 // directory entries, and cylinder groups measured in blocks rather than
 // exact cylinder boundaries.
 //
+// Buffer ownership: the buffer cache owns its 8 KB frames and recycles
+// them, so a slice from Cache.Get is valid only until the next call into
+// the cache or the next blocking operation; Client.Read returns the
+// client's reply buffer, valid until that client's next call.
+//
 // Concurrency model: a FileSystem instance must only be used from one
 // simulation process at a time. The Unix server enforces this by
 // construction — it is one thread, and that single-threadedness is exactly

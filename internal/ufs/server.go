@@ -37,10 +37,16 @@ type (
 	openReq   struct{ path string }
 	createReq struct{ path string }
 	mkdirReq  struct{ path string }
-	readReq   struct {
+	// readReq is a read's request and its reply in one message. The Client
+	// owns it and reuses it for every read: the server reads into buf, the
+	// client's reply buffer, sets n and err, and answers with the same
+	// pointer, so a read moves no payload through a fresh allocation.
+	readReq struct {
 		fd  int
 		off int64
+		buf []byte
 		n   int
+		err error
 	}
 	writeReq struct {
 		fd   int
@@ -61,10 +67,6 @@ type (
 	fdResp struct {
 		fd  int
 		err error
-	}
-	readResp struct {
-		data []byte
-		err  error
 	}
 	writeResp struct {
 		n   int
@@ -143,15 +145,15 @@ func (s *Server) handle(t *rtm.Thread, req any) any {
 		return fdResp{fd: fd}
 	case mkdirReq:
 		return errResp{err: s.fs.Mkdir(p, r.path)}
-	case readReq:
+	case *readReq:
 		f, err := s.file(r.fd)
 		if err != nil {
-			return readResp{err: err}
+			r.n, r.err = 0, err
+			return r
 		}
-		buf := make([]byte, r.n)
-		n, err := f.ReadAt(p, buf, r.off)
-		t.Compute(CostPerBlock * sim.Time(1+(n-1)/BlockSize))
-		return readResp{data: buf[:n], err: err}
+		r.n, r.err = f.ReadAt(p, r.buf, r.off)
+		t.Compute(CostPerBlock * sim.Time(1+(r.n-1)/BlockSize))
+		return r
 	case writeReq:
 		f, err := s.file(r.fd)
 		if err != nil {
@@ -191,10 +193,13 @@ func (s *Server) handle(t *rtm.Thread, req any) any {
 	return errResp{err: fmt.Errorf("ufs: unknown request %T", req)}
 }
 
-// Client is a thread-side stub for calling the Unix server.
+// Client is a thread-side stub for calling the Unix server. It owns the
+// reply buffer its reads land in, as a Mach client owns its reply message.
 type Client struct {
-	srv *Server
-	th  *rtm.Thread
+	srv  *Server
+	th   *rtm.Thread
+	buf  []byte  // reply buffer, grown to the largest read so far
+	read readReq // the one read message, reused by every Read
 }
 
 // NewClient binds a calling thread to a server.
@@ -217,10 +222,18 @@ func (c *Client) Mkdir(path string) error {
 	return c.srv.port.Call(c.th, mkdirReq{path: path}).(errResp).err
 }
 
-// Read reads n bytes at off from an open file.
+// Read reads up to n bytes at off from an open file. The result is the
+// client's reply buffer: it stays valid until this client's next call,
+// which reuses the buffer. A caller that keeps the bytes longer copies them.
+//
+//crasvet:hotpath
 func (c *Client) Read(fd int, off int64, n int) ([]byte, error) {
-	r := c.srv.port.Call(c.th, readReq{fd: fd, off: off, n: n}).(readResp)
-	return r.data, r.err
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n) //crasvet:allow hotalloc -- grows only to the client's largest read; later reads reuse it
+	}
+	c.read = readReq{fd: fd, off: off, buf: c.buf[:n]}
+	r := c.srv.port.Call(c.th, &c.read).(*readReq)
+	return r.buf[:r.n], r.err
 }
 
 // Write writes data at off.

@@ -56,10 +56,19 @@ func (ps *PlayerStats) OnTimeThroughput() float64 {
 // PlayerConfig tunes a player. Priority and Quantum set the thread of a
 // CRASPlayer or UFSPlayer; Launch runs its viewers at rtm.PrioRTLow.
 type PlayerConfig struct {
-	Priority  int      // thread priority; UFSPlayer defaults 0 to rtm.PrioRTLow
+	Priority  int      // thread priority; 0 means rtm.PrioRTLow
 	Quantum   sim.Time // 0 = fixed priority
 	MaxFrames int      // 0 = whole movie
 	FrameCPU  sim.Time // decode cost charged per obtained frame
+}
+
+// priority is the player thread's priority: the real-time band unless the
+// config names one.
+func (cfg PlayerConfig) priority() int {
+	if cfg.Priority == 0 {
+		return rtm.PrioRTLow
+	}
+	return cfg.Priority
 }
 
 // CRASPlayer opens a stream on the CRAS server and consumes it frame by
@@ -67,7 +76,7 @@ type PlayerConfig struct {
 // own thread and fills stats as it goes; Done is set when playback ends.
 func CRASPlayer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path string,
 	opts core.OpenOptions, cfg PlayerConfig, stats *PlayerStats) *rtm.Thread {
-	return k.NewThread("crasplay:"+path, cfg.Priority, cfg.Quantum, func(th *rtm.Thread) {
+	return k.NewThread("crasplay:"+path, cfg.priority(), cfg.Quantum, func(th *rtm.Thread) {
 		defer func() { stats.Done = true }()
 		h, err := srv.Open(th, info, path, opts)
 		if err != nil {
@@ -87,10 +96,7 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 	if len(info.Chunks) > 0 {
 		frameDur = info.Chunks[0].Duration
 	}
-	if cfg.Priority == 0 {
-		cfg.Priority = rtm.PrioRTLow
-	}
-	return k.NewThread("ufsplay:"+path, cfg.Priority, cfg.Quantum, func(th *rtm.Thread) {
+	return k.NewThread("ufsplay:"+path, cfg.priority(), cfg.Quantum, func(th *rtm.Thread) {
 		defer func() { stats.Done = true }()
 		c := ufs.NewClient(srv, th)
 		fd, err := c.Open(path)

@@ -43,6 +43,33 @@ func TestCRASPlayerPlaysMovie(t *testing.T) {
 	}
 }
 
+// A zero PlayerConfig runs both players in the real-time band, above the
+// timesharing cats; a named priority is kept as given.
+func TestPlayerDefaultPriority(t *testing.T) {
+	movie := media.MPEG1().Generate("/m", time.Second)
+	var threads [4]*rtm.Thread
+	var stats [4]PlayerStats
+	m := lab.Build(lab.Setup{
+		Seed: 1, DiskCylinders: 600,
+		Movies: []lab.Movie{{Path: "/m", Info: movie}},
+	}, func(m *lab.Machine) {
+		threads[0] = CRASPlayer(m.Kernel, m.CRAS, movie, "/m", core.OpenOptions{}, PlayerConfig{}, &stats[0])
+		threads[1] = UFSPlayer(m.Kernel, m.Unix, movie, "/m", 0, PlayerConfig{}, &stats[1])
+		threads[2] = CRASPlayer(m.Kernel, m.CRAS, movie, "/m", core.OpenOptions{}, PlayerConfig{Priority: rtm.PrioTS}, &stats[2])
+		threads[3] = UFSPlayer(m.Kernel, m.Unix, movie, "/m", 0, PlayerConfig{Priority: rtm.PrioTS}, &stats[3])
+	})
+	m.Run(100 * time.Millisecond) // mount, then start the players
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := [4]int{rtm.PrioRTLow, rtm.PrioRTLow, rtm.PrioTS, rtm.PrioTS}
+	for i, th := range threads {
+		if got := th.Priority(); got != want[i] {
+			t.Errorf("%s: Priority() = %d, want %d", th.Name(), got, want[i])
+		}
+	}
+}
+
 func TestUFSPlayerPlaysMovie(t *testing.T) {
 	movie := media.MPEG1().Generate("/m", 5*time.Second)
 	var stats PlayerStats
